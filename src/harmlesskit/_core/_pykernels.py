@@ -3,7 +3,7 @@
 These mirror the compiled versions in ``_ckernels.pyx`` exactly: same
 arguments, same deterministic tie-breaking, same results.  They exist so the
 package works without a C toolchain and as a cross-check oracle for the
-compiled code (see tests and benchmarks/).
+compiled code (see tests/test_backends.py).
 """
 
 from __future__ import annotations

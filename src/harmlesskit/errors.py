@@ -9,6 +9,10 @@ class ResourceLimitError(RuntimeError):
     """An exact routine was asked to exceed its configured size cap."""
 
 
+class InvariantError(RuntimeError):
+    """A result failed its own self-check: a bug in the library, not bad input."""
+
+
 class ParseError(ValueError):
     """A file could not be parsed; carries the offending line number."""
 

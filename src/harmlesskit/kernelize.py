@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, InvariantError
 from .graph import (
     AnnotatedInstance,
     Graph,
@@ -23,7 +23,7 @@ from .graph import (
     compute_core,
     is_harmless,
 )
-from .sparsity import LilyFailure, build_waterlily, domination_scattered
+from .sparsity import LilyFailure, build_waterlily, domination_scattered, waterlily_base
 
 LILY_RADIUS = 2
 LILY_DEPTH = 1
@@ -113,13 +113,16 @@ def _core_reduction(ann: AnnotatedInstance, p: int) -> _Reduction:
     # (b) a large scattered subset of K is itself harmless: early YES
     dom = domination_scattered(g, K, 1)
     if len(dom.scattered) >= k:
-        assert is_harmless(inst, dom.scattered), "scattered certificate is not harmless"
+        if not is_harmless(inst, dom.scattered):
+            raise InvariantError("scattered certificate is not harmless")
         return _Reduction("yes", certificate=dom.scattered)
 
     # (c) waterlily exchange: an oversized uniform signature class has
-    # interchangeable centres, so all but p*|R| of them can leave the core
+    # interchangeable centres, so all but p*|R| of them can leave the core;
+    # the target-independent stages run once for this core state
+    base = waterlily_base(g, K, LILY_RADIUS, LILY_DEPTH)
     for target in _lily_targets(len(K)):
-        lily = build_waterlily(g, K, LILY_RADIUS, LILY_DEPTH, target)
+        lily = build_waterlily(g, K, LILY_RADIUS, LILY_DEPTH, target, base=base)
         if isinstance(lily, LilyFailure):
             continue
         classes: dict[frozenset, list[int]] = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ._core import get_kernels
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .graph import Graph, Instance, compute_core, is_harmless, residual_budget
 
 DEFAULT_BRUTE_CAP = 24
@@ -72,7 +72,8 @@ def brute_force_max(
     kernels = get_kernels(backend)
     size, witness = kernels.max_harmless(indptr, indices, list(instance.thresholds), order)
     witness_set = frozenset(int(v) for v in witness)
-    assert is_harmless(instance, witness_set), "search returned a non-harmless witness"
+    if not is_harmless(instance, witness_set):
+        raise InvariantError("search returned a non-harmless witness")
     return int(size), witness_set
 
 
@@ -276,13 +277,17 @@ def vc_solve(
 
     guess = frozenset(X[i] for i in range(nx) if best_mask >> i & 1)
     model = build_ilp(instance, X, guess)
-    assert model is not None, "the optimal guess produced an infeasible model"
+    if model is None:
+        raise InvariantError("the optimal guess produced an infeasible model")
     packed, assign = ilp_solve(model)
-    assert len(guess) + packed == best_total, "scan and rebuild disagree on the optimum"
+    if len(guess) + packed != best_total:
+        raise InvariantError("scan and rebuild disagree on the optimum")
     witness = set(guess)
     for cls, x in zip(model.classes, assign):
         witness.update(cls.members[:x])
     witness_set = frozenset(witness)
-    assert is_harmless(instance, witness_set), "vc witness failed the harmlessness check"
-    assert len(witness_set) == best_total
+    if not is_harmless(instance, witness_set):
+        raise InvariantError("vc witness failed the harmlessness check")
+    if len(witness_set) != best_total:
+        raise InvariantError("vc witness size differs from the optimum")
     return best_total, witness_set

@@ -13,6 +13,7 @@ ascending vertex id.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -62,15 +63,19 @@ class ProjectionProfile:
         return out
 
 
+def _finite_profile(g: Graph, X: frozenset[int], u: int, r: int) -> tuple[tuple[int, int], ...]:
+    """Finite profile entries of ``u`` onto an already validated ``X``."""
+    dist = bfs_distances(g, u, blocked=X, max_depth=r)
+    return tuple(sorted((x, d) for x, d in dist.items() if x in X))
+
+
 def projection_profile(g: Graph, X: Iterable[int], u: int, r: int) -> ProjectionProfile:
     """Profile of ``u`` onto ``X`` at radius ``r``; requires ``u`` outside X."""
     X = g.check_vertex_set(X)
     g.check_vertex(u)
     if u in X:
         raise InvalidArgumentError(f"vertex {u} lies in the target set")
-    dist = bfs_distances(g, u, blocked=X, max_depth=r)
-    finite = tuple(sorted((x, dist[x]) for x in X if x in dist and dist[x] <= r))
-    return ProjectionProfile(X, r, finite)
+    return ProjectionProfile(X, r, _finite_profile(g, X, u, r))
 
 
 def r_projection(g: Graph, X: Iterable[int], u: int, r: int) -> frozenset[int]:
@@ -84,7 +89,7 @@ def count_profiles(g: Graph, X: Iterable[int], r: int) -> int:
     Diagnostic for tracking the linear-in-|X| profile bound empirically.
     """
     X = g.check_vertex_set(X)
-    seen = {projection_profile(g, X, u, r).finite for u in range(g.n) if u not in X}
+    seen = {_finite_profile(g, X, u, r) for u in range(g.n) if u not in X}
     return len(seen)
 
 
@@ -93,24 +98,38 @@ def projection_closure(
 ) -> frozenset[int]:
     """Grow X until every outside vertex projects onto at most c_close targets.
 
-    Repeatedly absorbs the outside vertex with the largest projection;
-    terminates after at most n additions since the set only grows.
+    Repeatedly absorbs the outside vertex with the largest projection (ties:
+    lowest id); terminates after at most n additions since the set only
+    grows.
+
+    The closure is incremental.  X is validated once, and ``size[u]`` holds
+    the r-projection size of every outside u onto the current set.  Absorbing
+    w changes only the projections that reached w, and X-avoiding
+    reachability is symmetric, so exactly the outside vertices found by a BFS
+    from w (old set blocked, depth r) are recomputed.  A heap keyed by
+    (-size, id) yields the next vertex; entries whose size changed since they
+    were pushed, or whose vertex was absorbed, are skipped.
     """
     if c_close < 1:
         raise InvalidArgumentError(f"c_close must be >= 1, got {c_close}")
-    closed = set(g.check_vertex_set(X))
+    closed = g.check_vertex_set(X)
+    size = [0] * g.n
+    heap: list[tuple[int, int]] = []
+    stale = [u for u in range(g.n) if u not in closed]
     while True:
-        worst = None
-        worst_size = c_close
-        for u in range(g.n):
-            if u in closed:
-                continue
-            size = len(r_projection(g, closed, u, r))
-            if size > worst_size:
-                worst, worst_size = u, size
-        if worst is None:
-            return frozenset(closed)
-        closed.add(worst)
+        for u in stale:
+            reached = bfs_distances(g, u, blocked=closed, max_depth=r)
+            size[u] = sum(1 for x in reached if x in closed)
+            if size[u] > c_close:
+                heapq.heappush(heap, (-size[u], u))
+        while heap and (heap[0][1] in closed or size[heap[0][1]] != -heap[0][0]):
+            heapq.heappop(heap)
+        if not heap:
+            return closed
+        w = heapq.heappop(heap)[1]
+        reached = bfs_distances(g, w, blocked=closed, max_depth=r)
+        stale = [u for u in reached if u != w and u not in closed]
+        closed = closed | {w}
 
 
 # ---------------------------------------------------------------------------
@@ -139,32 +158,62 @@ def _greedy_scattered(
     return picks
 
 
+def _greedy_cover(g: Graph, X: frozenset[int], r: int, seeds: Iterable[int]) -> frozenset[int]:
+    """Extend ``seeds`` by coverage-greedy picks until X lies within r of them.
+
+    Each pick covers the most uncovered members of X (ties: higher degree,
+    then lower id).  The loop is incremental: balls are cached for this call
+    only, and ``gain[v]`` is |ball(v, r) & uncovered| for every vertex.
+    Balls are symmetric, so the gain of v counts the uncovered x whose ball
+    holds v; covering x therefore decrements exactly the vertices of
+    ball(x, r).  Gains only fall, so a heap keyed by (-gain, -degree, id)
+    re-pushes an entry whose gain moved when it surfaces, and the first
+    current entry is the pick.
+    """
+    balls: dict[int, set[int]] = {}
+
+    def ball_of(v: int) -> set[int]:
+        b = balls.get(v)
+        if b is None:
+            b = balls[v] = ball(g, v, r)
+        return b
+
+    dom = list(seeds)
+    uncovered = set(X)
+    for v in dom:
+        uncovered -= ball_of(v)
+    gain: dict[int, int] = {}
+    for x in uncovered:
+        for v in ball_of(x):
+            gain[v] = gain.get(v, 0) + 1
+    adj = g.adj
+    heap = [(-c, -len(adj[v]), v) for v, c in gain.items()]
+    heapq.heapify(heap)
+    while uncovered:
+        neg_gain, neg_deg, v = heapq.heappop(heap)
+        if -neg_gain != gain[v]:
+            if gain[v]:
+                heapq.heappush(heap, (-gain[v], neg_deg, v))
+            continue
+        dom.append(v)
+        newly = ball_of(v) & uncovered
+        uncovered -= newly
+        for x in newly:
+            for u in ball_of(x):
+                gain[u] -= 1
+    return frozenset(dom)
+
+
 def domination_scattered(g: Graph, X: Iterable[int], r: int) -> DominationResult:
     """Greedy r-domination of X seeded by a maximal r-scattered subset of X.
 
-    The scattered set I is built first; D starts as I and is extended by a
-    coverage-greedy step until X is within distance r of D.
+    The scattered set I is built first; D starts as I and is extended by
+    the coverage-greedy loop of ``_greedy_cover`` until X is within
+    distance r of D.
     """
     X = g.check_vertex_set(X)
     scattered = _greedy_scattered(g, X, r)
-    dom = list(scattered)
-    covered: set[int] = set()
-    for v in dom:
-        covered |= ball(g, v, r)
-    uncovered = set(X) - covered
-    while uncovered:
-        candidates = set()
-        for x in uncovered:
-            candidates |= ball(g, x, r)
-        gain = {
-            v: len(ball(g, v, r) & uncovered)
-            for v in candidates
-        }
-        best = min(gain, key=lambda v: (-gain[v], -len(g.adj[v]), v))
-        dom.append(best)
-        covered |= ball(g, best, r)
-        uncovered -= covered
-    return DominationResult(r, frozenset(dom), frozenset(scattered))
+    return DominationResult(r, _greedy_cover(g, X, r, scattered), frozenset(scattered))
 
 
 def greedy_dominating(g: Graph, X: Iterable[int], r: int) -> frozenset[int]:
@@ -173,18 +222,7 @@ def greedy_dominating(g: Graph, X: Iterable[int], r: int) -> frozenset[int]:
     Used by the waterlily pipeline, where seeding would needlessly pull
     members of X into the dominating set and shrink the usable remainder.
     """
-    X = g.check_vertex_set(X)
-    dom: list[int] = []
-    uncovered = set(X)
-    while uncovered:
-        candidates = set()
-        for x in uncovered:
-            candidates |= ball(g, x, r)
-        gain = {v: len(ball(g, v, r) & uncovered) for v in candidates}
-        best = min(gain, key=lambda v: (-gain[v], -len(g.adj[v]), v))
-        dom.append(best)
-        uncovered -= ball(g, best, r)
-    return frozenset(dom)
+    return _greedy_cover(g, g.check_vertex_set(X), r, ())
 
 
 @dataclass(frozen=True)
@@ -306,29 +344,40 @@ def verify_waterlily(g: Graph, lily: Waterlily, A: Optional[frozenset[int]] = No
     return problems
 
 
-def build_waterlily(
+@dataclass(frozen=True)
+class LilyBase:
+    """The target-independent prefix of a waterlily construction.
+
+    Greedy d-domination of the query set, the (r+d)-projection closure of
+    the dominators and the (r+d)-profile classes of the remainder do not
+    depend on the target, so one base serves every target for the same
+    graph, query set and parameters.  Only the largest class survives.
+    """
+
+    graph: Graph
+    query: frozenset[int]
+    radius: int
+    depth: int
+    c_close: int
+    near_roots: frozenset[int]
+    members: tuple[int, ...]
+
+
+def waterlily_base(
     g: Graph,
     A: Iterable[int],
     r: int,
     d: int,
-    target: int,
-    *,
     c_close: int = DEFAULT_CLOSURE_BOUND,
-    hub_budget: int = DEFAULT_HUB_BUDGET,
-) -> Waterlily | LilyFailure:
-    """Construct a uniform waterlily with >= target centres inside A, or fail.
+) -> LilyBase | LilyFailure:
+    """Run the target-independent stages of ``build_waterlily`` once.
 
-    Pipeline: greedily d-dominate A, close the dominators under (r+d)-
-    projections, split the remainder of A into (r+d)-profile classes, extract
-    a scattered subset of the largest class by hub removal, and keep its
-    largest uniform d-profile class as the centres.  The result is verified
-    invariant by invariant before being returned; any shortfall yields a
-    ``LilyFailure`` naming the stage.
+    Fails at the ``query-set`` or ``closure`` stage exactly where
+    ``build_waterlily`` would; the closed set is validated once for the
+    whole profile-class loop.
     """
     if d > r:
         raise InvalidArgumentError(f"depth {d} exceeds radius {r}")
-    if target < 1:
-        raise InvalidArgumentError(f"target must be >= 1, got {target}")
     A = g.check_vertex_set(A)
     if not A:
         return LilyFailure("query-set", "the query set is empty")
@@ -341,15 +390,59 @@ def build_waterlily(
 
     classes: dict[tuple, list[int]] = {}
     for a in sorted(remainder):
-        key = projection_profile(g, closed, a, r + d).finite
-        classes.setdefault(key, []).append(a)
+        classes.setdefault(_finite_profile(g, closed, a, r + d), []).append(a)
     key, members = max(classes.items(), key=lambda kv: (len(kv[1]), -kv[1][0]))
+    return LilyBase(g, A, r, d, c_close, frozenset(v for v, _ in key), tuple(members))
+
+
+def build_waterlily(
+    g: Graph,
+    A: Iterable[int],
+    r: int,
+    d: int,
+    target: int,
+    *,
+    c_close: int = DEFAULT_CLOSURE_BOUND,
+    hub_budget: int = DEFAULT_HUB_BUDGET,
+    base: LilyBase | LilyFailure | None = None,
+) -> Waterlily | LilyFailure:
+    """Construct a uniform waterlily with >= target centres inside A, or fail.
+
+    Pipeline: greedily d-dominate A, close the dominators under (r+d)-
+    projections, split the remainder of A into (r+d)-profile classes, extract
+    a scattered subset of the largest class by hub removal, and keep its
+    largest uniform d-profile class as the centres.  The result is verified
+    invariant by invariant before being returned; any shortfall yields a
+    ``LilyFailure`` naming the stage.
+
+    The stages up to the profile classes are target-independent.  A caller
+    trying several targets computes them once with ``waterlily_base`` and
+    passes the outcome as ``base``; the result is then the same as without
+    it, a failing base is returned as this target's failure, and every
+    returned waterlily is still verified.  A base built for another graph,
+    query set or parameters is rejected.
+    """
+    if d > r:
+        raise InvalidArgumentError(f"depth {d} exceeds radius {r}")
+    if target < 1:
+        raise InvalidArgumentError(f"target must be >= 1, got {target}")
+    if base is None:
+        base = waterlily_base(g, A, r, d, c_close)
+    elif isinstance(base, LilyBase) and (
+        (base.radius, base.depth, base.c_close) != (r, d, c_close)
+        or base.graph != g
+        or base.query != frozenset(A)
+    ):
+        raise InvalidArgumentError("the waterlily base was built for other inputs")
+    if isinstance(base, LilyFailure):
+        return base
+
+    members = base.members
     if len(members) < target:
         return LilyFailure(
             "profile-class",
             f"largest profile class has {len(members)} members, need {target}",
         )
-    near_roots = frozenset(v for v, _ in key)
 
     uqw = uqw_scattered(g, members, r, target, hub_budget)
     if not uqw.ok:
@@ -357,7 +450,7 @@ def build_waterlily(
             "scattering",
             f"hub removal reached {len(uqw.scattered)} scattered vertices, need {target}",
         )
-    roots = uqw.hubs | near_roots
+    roots = uqw.hubs | base.near_roots
     if not roots:
         return LilyFailure("roots", "construction produced an empty root set")
 
@@ -374,8 +467,7 @@ def build_waterlily(
 
     uniform: dict[tuple, list[int]] = {}
     for a in padded:
-        key2 = projection_profile(g, roots, a, d).finite
-        uniform.setdefault(key2, []).append(a)
+        uniform.setdefault(_finite_profile(g, roots, a, d), []).append(a)
     centres = max(uniform.values(), key=lambda vs: (len(vs), -vs[0]))
     if len(centres) < target:
         return LilyFailure(
@@ -384,7 +476,7 @@ def build_waterlily(
         )
 
     lily = Waterlily(frozenset(roots), frozenset(centres), r, d)
-    problems = verify_waterlily(g, lily, A)
+    problems = verify_waterlily(g, lily, base.query)
     if problems:
         return LilyFailure("verification", "; ".join(problems))
     return lily

@@ -150,3 +150,42 @@ def check_waterlily(g, lily, A=None) -> list[str]:
     if len(profs) > 1:
         problems.append("profiles differ")
     return problems
+
+
+def _naive_ball(g, v, r):
+    return {w for w, d in naive_bfs(g, v).items() if d <= r}
+
+
+def naive_projection_closure(g, X, r, c_close):
+    """Non-incremental projection closure: every round recomputes every
+    outside vertex's r-projection and absorbs the largest above c_close
+    (ties: lowest id)."""
+    closed = set(X)
+    while True:
+        worst, worst_size = None, c_close
+        for u in range(g.n):
+            if u in closed:
+                continue
+            dist = naive_bfs(g, u, avoid=closed)
+            size = sum(1 for x in closed if dist.get(x, r + 1) <= r)
+            if size > worst_size:
+                worst, worst_size = u, size
+        if worst is None:
+            return frozenset(closed)
+        closed.add(worst)
+
+
+def naive_greedy_cover(g, X, r, seeds=()):
+    """Non-incremental coverage greedy: extend ``seeds`` by the vertex whose
+    r-ball holds the most uncovered members of X (ties: higher degree, then
+    lower id), recounting every gain in every round."""
+    dom = list(seeds)
+    uncovered = set(X)
+    for v in dom:
+        uncovered -= _naive_ball(g, v, r)
+    while uncovered:
+        gain = {v: len(_naive_ball(g, v, r) & uncovered) for v in range(g.n)}
+        best = min(gain, key=lambda v: (-gain[v], -len(g.adj[v]), v))
+        dom.append(best)
+        uncovered -= _naive_ball(g, best, r)
+    return frozenset(dom)

@@ -1,4 +1,7 @@
+import importlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,7 @@ from harmlesskit import (
     Graph,
     Instance,
     InvalidArgumentError,
+    InvariantError,
     RemoveVertex,
     YesCertificate,
     brute_force_max,
@@ -20,6 +24,8 @@ from harmlesskit import (
     to_plain_kernel,
 )
 from harmlesskit.generators import random_instance
+from harmlesskit.io import doc_to_instance, dumps, instance_to_doc
+from harmlesskit.kernelize import kernel_decision
 
 from oracles import naive_max_harmless
 
@@ -153,6 +159,14 @@ def test_kernelize_disjoint_edges_early_yes():
     assert len(report.certificate) >= 5
 
 
+def test_early_yes_certificate_check_raises(monkeypatch):
+    """The certificate check is an explicit raise, so it survives ``python -O``."""
+    module = importlib.import_module("harmlesskit.kernelize")
+    monkeypatch.setattr(module, "is_harmless", lambda instance, S: False)
+    with pytest.raises(InvariantError, match="scattered certificate"):
+        kernelize(disjoint_edges(5))
+
+
 def test_kernelize_requires_k():
     with pytest.raises(InvalidArgumentError):
         kernelize(Instance(Graph.from_edges(1, ()), (1,), None))
@@ -268,3 +282,25 @@ def test_plain_kernel_guards_block_everything_outside_core():
         plain = to_plain_kernel(AnnotatedInstance(inst, core))
         opt, witness = brute_force_max(plain)
         assert witness <= core
+
+
+# ---------------------------------------------------------------------------
+# golden reports
+# ---------------------------------------------------------------------------
+
+# Recorded from the non-incremental kernelizer (closure and waterlily rebuilt
+# for every target): degree-3 graphs and grids at n <= 24 with thresholds
+# 10% 1 / 45% 2 / 45% 3, plus a threshold-2 star where the exchange rule
+# fires, each at k = opt and opt+1 (opt by brute_force_max).
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "kernelize_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["name"])
+def test_kernelize_report_matches_golden(case):
+    ann, report = kernelize(doc_to_instance(case["instance"]))
+    result = {
+        "report": report.to_doc(),
+        "decision": kernel_decision(ann, report),
+        "kernel": instance_to_doc(ann.instance, roles={"core": sorted(ann.core)}),
+    }
+    assert dumps(result) == dumps(case["result"])

@@ -11,7 +11,16 @@ from harmlesskit import (
     projection_profile,
     r_projection,
 )
-from harmlesskit.sparsity import projection_closure
+from harmlesskit.kernelize import _lily_targets
+from harmlesskit.sparsity import (
+    build_waterlily,
+    domination_scattered,
+    greedy_dominating,
+    projection_closure,
+    waterlily_base,
+)
+
+from oracles import naive_greedy_cover, naive_projection_closure
 
 
 @st.composite
@@ -23,6 +32,17 @@ def instances(draw, max_n=10):
         draw(st.integers(min_value=1, max_value=4)) for _ in range(n)
     )
     return Instance(Graph.from_edges(n, edges), thresholds)
+
+
+@st.composite
+def sparse_graph_with_set(draw, max_n=16):
+    """A sparse random graph (at most 2n edges) and a vertex subset of it."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    raw = draw(st.lists(st.tuples(vertex, vertex), min_size=n // 2, max_size=2 * n))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in raw if u != v})
+    S = frozenset(v for v in range(n) if draw(st.booleans()))
+    return Graph.from_edges(n, edges), S
 
 
 @st.composite
@@ -76,3 +96,39 @@ def test_closure_contains_input_and_satisfies_bound(inst, c):
     for u in range(g.n):
         if u not in closed:
             assert len(r_projection(g, closed, u, 2)) <= c
+
+
+# ---------------------------------------------------------------------------
+# incremental sparsity routines against their non-incremental references
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, derandomize=True)
+@given(sparse_graph_with_set(), st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
+def test_projection_closure_matches_reference(pair, r, c):
+    g, X = pair
+    assert projection_closure(g, X, r, c) == naive_projection_closure(g, X, r, c)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(sparse_graph_with_set(), st.integers(min_value=0, max_value=3))
+def test_greedy_dominating_matches_reference(pair, r):
+    g, X = pair
+    assert greedy_dominating(g, X, r) == naive_greedy_cover(g, X, r)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(sparse_graph_with_set(), st.integers(min_value=1, max_value=3))
+def test_domination_cover_extension_matches_reference(pair, r):
+    g, X = pair
+    dom = domination_scattered(g, X, r)
+    assert dom.dominating == naive_greedy_cover(g, X, r, sorted(dom.scattered))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(sparse_graph_with_set(max_n=20), st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1)]))
+def test_waterlily_with_precomputed_base_equals_without(pair, rd):
+    g, A = pair
+    r, d = rd
+    base = waterlily_base(g, A, r, d)
+    for target in _lily_targets(len(A)):
+        assert build_waterlily(g, A, r, d, target, base=base) == build_waterlily(g, A, r, d, target)

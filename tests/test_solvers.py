@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import combinations
 
@@ -7,6 +8,7 @@ from harmlesskit import (
     Graph,
     Instance,
     InvalidArgumentError,
+    InvariantError,
     ResourceLimitError,
     brute_force_max,
     build_ilp,
@@ -245,3 +247,35 @@ def test_vc_cover_cap():
     inst = Instance(g, (2,) * 30)
     with pytest.raises(ResourceLimitError):
         vc_solve(inst, cap=10)
+
+
+# ---------------------------------------------------------------------------
+# self-checks are explicit raises, so they survive ``python -O``
+# ---------------------------------------------------------------------------
+
+SOLVERS = importlib.import_module("harmlesskit.solvers")
+
+
+@pytest.mark.parametrize(
+    "solve, attr, fake, message",
+    [
+        (brute_force_max, "is_harmless", lambda instance, S: False, "non-harmless witness"),
+        (vc_solve, "is_harmless", lambda instance, S: False, "harmlessness check"),
+        (vc_solve, "build_ilp", lambda instance, X, guess: None, "infeasible model"),
+        (vc_solve, "ilp_solve", lambda model: (10**6, ()), "disagree on the optimum"),
+    ],
+    ids=["brute-witness", "vc-witness", "vc-model", "vc-rebuild"],
+)
+def test_solver_self_checks_raise(monkeypatch, solve, attr, fake, message):
+    inst = Instance(star(4), (2,) * 5)
+    monkeypatch.setattr(SOLVERS, attr, fake)
+    with pytest.raises(InvariantError, match=message):
+        solve(inst, backend="pure")
+
+
+def test_vc_witness_size_check_raises(monkeypatch):
+    inst = Instance(star(4), (2,) * 5)
+    real = SOLVERS.ilp_solve
+    monkeypatch.setattr(SOLVERS, "ilp_solve", lambda model: (real(model)[0], (0,) * len(model.classes)))
+    with pytest.raises(InvariantError, match="witness size"):
+        vc_solve(inst, backend="pure")

@@ -19,7 +19,7 @@ from harmlesskit import (
 )
 from harmlesskit.generators import bounded_degree_graph, grid_graph
 from harmlesskit.graph import bfs_distances
-from harmlesskit.sparsity import LilyFailure
+from harmlesskit.sparsity import LilyFailure, waterlily_base
 
 from oracles import check_waterlily, naive_bfs, naive_min_domination_size
 
@@ -243,6 +243,24 @@ def test_waterlily_empty_query_set():
 def test_waterlily_depth_above_radius_rejected():
     with pytest.raises(InvalidArgumentError):
         build_waterlily(star(3), {1}, 1, 2, 1)
+
+
+def test_waterlily_base_serves_every_target_and_rejects_other_inputs():
+    g = star(6)
+    leaves = frozenset(range(1, 7))
+    base = waterlily_base(g, leaves, 2, 1)
+    assert build_waterlily(g, leaves, 2, 1, 6, base=base) == build_waterlily(g, leaves, 2, 1, 6)
+    failed = waterlily_base(g, frozenset(), 2, 1)
+    assert build_waterlily(g, frozenset(), 2, 1, 3, base=failed) == failed
+    for other in (
+        dict(g=star(7), A=leaves, r=2, d=1),
+        dict(g=g, A=leaves - {1}, r=2, d=1),
+        dict(g=g, A=leaves, r=2, d=2),
+    ):
+        with pytest.raises(InvalidArgumentError):
+            build_waterlily(other["g"], other["A"], other["r"], other["d"], 1, base=base)
+    with pytest.raises(InvalidArgumentError):
+        build_waterlily(g, leaves, 2, 1, 1, c_close=5, base=base)
 
 
 def test_waterlily_multi_star_hits_distinct_stars():
