@@ -1,42 +1,6 @@
-"""Backend selection for the search kernels.
+"""The search kernels (``_pykernels``), written in pure Python.
 
-The compiled extension is preferred when present; the pure-Python fallback
-is behaviourally identical.  Set ``HARMLESSKIT_PURE=1`` to force the
-fallback, e.g. to reproduce the benchmark comparison.
+``DEFAULT_BACKEND`` names that implementation for tools that record it.
 """
 
-from __future__ import annotations
-
-import os
-
-from . import _pykernels
-
-try:
-    from . import _ckernels
-except ImportError:  # extension not built
-    _ckernels = None
-
-_BACKENDS = {"pure": _pykernels}
-if _ckernels is not None:
-    _BACKENDS["compiled"] = _ckernels
-
-if os.environ.get("HARMLESSKIT_PURE"):
-    DEFAULT_BACKEND = "pure"
-else:
-    DEFAULT_BACKEND = "compiled" if _ckernels is not None else "pure"
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def get_kernels(name: str | None = None):
-    """Return the kernel module for ``name`` (or the default backend)."""
-    if name is None or name == "auto":
-        name = DEFAULT_BACKEND
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
-        ) from None
+DEFAULT_BACKEND = "pure"

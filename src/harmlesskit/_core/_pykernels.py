@@ -1,14 +1,12 @@
-"""Pure-Python implementations of the two search kernels.
+"""The search kernels: brute-force branch and bound, the packing solver and
+the vertex-cover guess scan.
 
-These mirror the compiled versions in ``_ckernels.pyx`` exactly: same
-arguments, same deterministic tie-breaking, same results.  They exist so the
-package works without a C toolchain and as a cross-check oracle for the
-compiled code (see tests/test_backends.py).
+They work on flat integer lists (CSR adjacency, bit masks) so the solvers in
+``harmlesskit.solvers`` can hand them plain data, also across process
+boundaries.  Every search is deterministic, including its tie-breaking.
 """
 
 from __future__ import annotations
-
-BACKEND = "pure"
 
 
 def max_harmless(indptr, indices, thresholds, candidates):
@@ -52,44 +50,60 @@ def max_harmless(indptr, indices, thresholds, candidates):
     return best, sorted(best_set)
 
 
-def _ilp_max(nclasses, class_size, cm_indptr, cm_idx, caps):
-    """Exact max of sum(x_j), 0 <= x_j <= size_j, sum over classes hitting a
-    cover vertex bounded by its capacity.  Depth-first with a per-node
-    optimistic bound; explores larger x first so ties resolve greedily."""
-    best = 0
+def max_packing(class_size, cm_indptr, cm_idx, caps):
+    """Exact packing: maximise sum(x_j) with 0 <= x_j <= class_size[j] and,
+    for every capacity c, the x_j of the classes listing c (CSR rows
+    ``cm_idx[cm_indptr[j]:cm_indptr[j + 1]]``) summing to at most caps[c].
 
-    def upper(i):
-        s = 0
-        for j in range(i, nclasses):
-            lim = class_size[j]
-            for p in range(cm_indptr[j], cm_indptr[j + 1]):
-                c = caps[cm_idx[p]]
-                if c < lim:
-                    lim = c
-            s += lim
-        return s
+    Depth-first branch and bound without recursion: the partial assignment
+    is the stack, one level per class, and each level counts its value down
+    from the class limit clipped by the current capacities to 0.  A node is
+    cut when the optimistic bound (every remaining class filled to its
+    clipped limit) cannot beat the incumbent.  Improvement is strict, so the
+    first optimum in this order is kept.  ``caps`` is restored before
+    returning.  Returns ``(value, assignment)``.
+    """
+    nclasses = len(class_size)
 
-    def dfs(i, acc):
-        nonlocal best
-        if acc > best:
-            best = acc
-        if i == nclasses or acc + upper(i) <= best:
-            return
-        lim = class_size[i]
-        for p in range(cm_indptr[i], cm_indptr[i + 1]):
+    def limit(j):
+        lim = class_size[j]
+        for p in range(cm_indptr[j], cm_indptr[j + 1]):
             c = caps[cm_idx[p]]
             if c < lim:
                 lim = c
-        for x in range(lim, -1, -1):
-            if x:
-                for p in range(cm_indptr[i], cm_indptr[i + 1]):
-                    caps[cm_idx[p]] -= x
-            dfs(i + 1, acc + x)
-            if x:
-                for p in range(cm_indptr[i], cm_indptr[i + 1]):
-                    caps[cm_idx[p]] += x
-    dfs(0, 0)
-    return best
+        return lim
+
+    def take(j, x):
+        for p in range(cm_indptr[j], cm_indptr[j + 1]):
+            caps[cm_idx[p]] -= x
+
+    best = 0
+    best_assign = [0] * nclasses
+    assign = [0] * nclasses  # levels at or below the current node are 0
+    acc = 0
+    i = 0  # depth of the node being entered
+    while True:
+        if acc > best:
+            best = acc
+            best_assign = assign.copy()
+        if i < nclasses and acc + sum(limit(j) for j in range(i, nclasses)) > best:
+            x = limit(i)  # first child: the largest value
+        else:
+            # pop finished levels until one still has a smaller value to try
+            while i:
+                i -= 1
+                x = assign[i]
+                take(i, -x)
+                acc -= x
+                if x:
+                    x -= 1
+                    break
+            else:
+                return best, best_assign
+        assign[i] = x
+        take(i, x)
+        acc += x
+        i += 1
 
 
 def vc_scan(
@@ -151,7 +165,7 @@ def vc_scan(
             ub += lim
         if ub <= best_total:
             continue
-        total = base + _ilp_max(nclasses, class_size, cm_indptr, cm_idx, caps)
+        total = base + max_packing(class_size, cm_indptr, cm_idx, caps)[0]
         if total > best_total:
             best_total = total
             best_mask = mask

@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from ._core import DEFAULT_BACKEND, available_backends
 from .errors import InvalidArgumentError, ParseError, ResourceLimitError
 from .generators import (
     random_harmless_set,
@@ -55,12 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", "-o", help="write the report here instead of stdout")
     common.add_argument("--timing", action="store_true", help="embed wall-clock timings")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument(
-        "--backend",
-        choices=("auto",) + tuple(available_backends()),
-        default="auto",
-        help=f"search kernel backend (auto = {DEFAULT_BACKEND})",
-    )
     common.add_argument("--workers", type=int, default=1)
     common.add_argument("--brute-cap", type=int, default=None)
     common.add_argument("--cover-cap", type=int, default=None)
@@ -145,12 +138,10 @@ def _maybe_time(args, fn):
 def _cmd_solve(args) -> int:
     instance = load_any_instance(args.input)
     solver = brute_force_max if args.method == "brute" else vc_solve
-    kwargs = {"backend": args.backend}
     if args.method == "brute":
-        kwargs["cap"] = args.brute_cap
+        kwargs = {"cap": args.brute_cap}
     else:
-        kwargs["cap"] = args.cover_cap
-        kwargs["workers"] = args.workers
+        kwargs = {"cap": args.cover_cap, "workers": args.workers}
     (optimum, witness), ms = _maybe_time(args, lambda: solver(instance, **kwargs))
     decision = None if instance.k is None else optimum >= instance.k
     result = {
@@ -257,7 +248,7 @@ def _cmd_verify_reduction(args) -> int:
     mcc = load_mcc(args.input)
     report, ms = _maybe_time(
         args,
-        lambda: verify_reduction(mcc, cap=args.brute_cap, backend=args.backend),
+        lambda: verify_reduction(mcc, cap=args.brute_cap),
     )
     result = report.to_doc()
     if ms is not None:
@@ -349,10 +340,10 @@ def _cmd_fuzz(args) -> int:
             n = rng.randint(1, 9)
             inst = random_instance(rng, n, k=rng.randint(0, n))
             ann, rep = _kern(inst)
-            want = decide(inst, backend=args.backend)
+            want = decide(inst)
             got = (
                 rep.outcome == "yes"
-                or brute_force_max(ann.instance, candidates=ann.core, backend=args.backend)[0]
+                or brute_force_max(ann.instance, candidates=ann.core)[0]
                 >= ann.instance.k
             )
             if want != got:
@@ -360,8 +351,8 @@ def _cmd_fuzz(args) -> int:
     elif args.suite == "vc":
         for case in range(count):
             inst = random_instance(rng, rng.randint(1, 12))
-            b, _ = brute_force_max(inst, backend=args.backend)
-            v, w = vc_solve(inst, backend=args.backend, workers=args.workers)
+            b, _ = brute_force_max(inst)
+            v, w = vc_solve(inst, workers=args.workers)
             if b != v or not is_harmless(inst, w):
                 failures.append(f"case {case}: vc={v} oracle={b}")
     elif args.suite == "reduction":
@@ -370,7 +361,7 @@ def _cmd_fuzz(args) -> int:
             out = build_reduction(mcc)
             if len(out.selectable_vertices()) > 22:
                 continue
-            rep = verify_reduction(mcc, cap=args.brute_cap, backend=args.backend)
+            rep = verify_reduction(mcc, cap=args.brute_cap)
             if not rep.ok:
                 failures.append(f"case {case}: reduction check failed: {rep.to_doc()}")
             for clique in mcc.cliques():

@@ -21,6 +21,7 @@ all 1-based).
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 from typing import IO, Union
 
@@ -28,6 +29,8 @@ from .errors import ParseError
 from .graph import Graph, Instance
 
 Source = Union[str, Path, IO[str]]
+
+_SHOWN_MISSING = 5  # missing-threshold ids quoted in an error message
 
 
 def _read_lines(source: Source) -> list[str]:
@@ -114,9 +117,13 @@ def load_instance(source: Source) -> Instance:
         raise ParseError("missing 'p hs <n> <m>' header")
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges but {len(edges)} were given")
-    missing = [v + 1 for v in range(n) if v not in thresholds]
-    if missing:
-        raise ParseError(f"missing threshold for vertices {missing}")
+    if len(thresholds) < n:
+        # thresholds only holds ids below n, so the scan stops within
+        # len(thresholds) + _SHOWN_MISSING steps whatever the header says
+        missing = n - len(thresholds)
+        shown = list(islice((v + 1 for v in range(n) if v not in thresholds), _SHOWN_MISSING))
+        more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
+        raise ParseError(f"missing threshold for vertices {shown}{more}")
     graph = Graph.from_edges(n, edges)
     return Instance(graph, tuple(thresholds[v] for v in range(n)), k)
 
@@ -158,6 +165,10 @@ def doc_to_instance(doc: dict) -> Instance:
         k = None if k is None else int(k)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed instance document: {exc}") from None
+    if len(thresholds) != n:  # before the graph allocates n adjacency lists
+        raise ParseError(
+            f"malformed instance document: {len(thresholds)} thresholds for {n} vertices"
+        )
     return Instance(Graph.from_edges(n, edges), thresholds, k)
 
 

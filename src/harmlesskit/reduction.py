@@ -408,9 +408,7 @@ class ReductionReport:
         }
 
 
-def verify_reduction(
-    mcc: MccInstance, *, cap: Optional[int] = None, backend: Optional[str] = None
-) -> ReductionReport:
+def verify_reduction(mcc: MccInstance, *, cap: Optional[int] = None) -> ReductionReport:
     """Check clique existence against the oracle optimum of the generated H.
 
     A clique must exist iff the oracle finds a harmless set of the target
@@ -423,7 +421,7 @@ def verify_reduction(
         raise ResourceLimitError(
             f"{len(selectable)} selectable vertices exceed the verification cap {cap}"
         )
-    optimum, witness = brute_force_max(out.instance, cap=cap, backend=backend)
+    optimum, witness = brute_force_max(out.instance, cap=cap)
     cliques = mcc.cliques()
     return ReductionReport(
         k=mcc.k,

@@ -3,9 +3,9 @@
 ``brute_force_max`` is the reference oracle used throughout the test suite;
 ``vc_solve`` is the fixed-parameter algorithm that guesses the solution's
 intersection with a 2-approximate vertex cover and solves an exact packing
-program for the independent remainder.  Both run on either the compiled or
-the pure-Python kernel backend and must agree with each other on every
-instance.
+program for the independent remainder.  Both must agree with each other on
+every instance.  Their searches run in the pure-Python kernels of
+``harmlesskit._core._pykernels``.
 """
 
 from __future__ import annotations
@@ -15,18 +15,25 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ._core import get_kernels
+from ._core._pykernels import max_harmless, max_packing, vc_scan
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .graph import Graph, Instance, compute_core, is_harmless, residual_budget
 
 DEFAULT_BRUTE_CAP = 24
 DEFAULT_COVER_CAP = 22
-_MAX_CLASSES = 10_000  # recursion guard for the packing solver
+# Most neighbourhood classes vc_solve accepts: the packing search keeps one
+# stack level per class and every node's bound is a pass over all of them.
+_MAX_CLASSES = 10_000
 
 
 def _env_cap(name: str, default: int) -> int:
     raw = os.environ.get(name)
-    return default if raw is None else int(raw)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def brute_cap(cap: Optional[int] = None) -> int:
@@ -51,7 +58,6 @@ def brute_force_max(
     *,
     candidates: Optional[Iterable[int]] = None,
     cap: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> tuple[int, frozenset[int]]:
     """Maximum harmless set by branch and bound over the solution core.
 
@@ -69,8 +75,7 @@ def brute_force_max(
         )
     order = sorted(pool, key=lambda v: (-len(instance.graph.adj[v]), v))
     indptr, indices = _csr(instance.graph)
-    kernels = get_kernels(backend)
-    size, witness = kernels.max_harmless(indptr, indices, list(instance.thresholds), order)
+    size, witness = max_harmless(indptr, indices, list(instance.thresholds), order)
     witness_set = frozenset(int(v) for v in witness)
     if not is_harmless(instance, witness_set):
         raise InvariantError("search returned a non-harmless witness")
@@ -155,57 +160,30 @@ def build_ilp(
 def ilp_solve(model: IlpModel) -> tuple[int, tuple[int, ...]]:
     """Exact optimum of the packing program plus one optimal assignment.
 
-    Branch and bound, largest class values first, with the greedy upper
-    bound of per-class limits clipped by residual capacities; assignments
-    are therefore deterministic.
+    Runs the kernels' packing branch and bound (largest class values first,
+    clipped per-class upper bound, strict improvement), so assignments are
+    deterministic.
     """
     if any(c < 0 for c in model.capacities.values()):
         raise InvalidArgumentError("infeasible model: a capacity is negative")
-    classes = model.classes
-    caps = dict(model.capacities)
-    nclasses = len(classes)
-    best = 0
-    best_assign = tuple(0 for _ in classes)
-    assign = [0] * nclasses
-
-    def upper(i: int) -> int:
-        total = 0
-        for j in range(i, nclasses):
-            lim = classes[j].size
-            for u in classes[j].roots:
-                if caps[u] < lim:
-                    lim = caps[u]
-            total += lim
-        return total
-
-    def dfs(i: int, acc: int) -> None:
-        nonlocal best, best_assign
-        if acc > best:
-            best = acc
-            best_assign = tuple(assign)
-        if i == nclasses or acc + upper(i) <= best:
-            return
-        lim = classes[i].size
-        for u in classes[i].roots:
-            if caps[u] < lim:
-                lim = caps[u]
-        for x in range(lim, -1, -1):
-            assign[i] = x
-            for u in classes[i].roots:
-                caps[u] -= x
-            dfs(i + 1, acc + x)
-            for u in classes[i].roots:
-                caps[u] += x
-        assign[i] = 0
-
-    dfs(0, 0)
-    return best, best_assign
+    pos = {u: i for i, u in enumerate(model.capacities)}
+    cm_indptr = [0]
+    cm_idx: list[int] = []
+    for cls in model.classes:
+        for u in cls.roots:
+            if u not in pos:
+                raise InvalidArgumentError(f"class root {u} has no capacity")
+            cm_idx.append(pos[u])
+        cm_indptr.append(len(cm_idx))
+    best, assign = max_packing(
+        [cls.size for cls in model.classes], cm_indptr, cm_idx, list(model.capacities.values())
+    )
+    return best, tuple(assign)
 
 
 def _scan_chunk(args):
-    backend, payload, lo, hi = args
-    kernels = get_kernels(backend)
-    return kernels.vc_scan(*payload, lo, hi)
+    payload, lo, hi = args
+    return vc_scan(*payload, lo, hi)
 
 
 def vc_solve(
@@ -213,7 +191,6 @@ def vc_solve(
     *,
     cap: Optional[int] = None,
     workers: int = 1,
-    backend: Optional[str] = None,
 ) -> tuple[int, frozenset[int]]:
     """Exact maximum harmless set, parameterised by the vertex cover.
 
@@ -258,12 +235,11 @@ def vc_solve(
     payload = (xnbr_mask, x_thresh, class_mask, class_size, class_min_t, cm_indptr, cm_idx)
     total_masks = 1 << nx
     if workers <= 1:
-        kernels = get_kernels(backend)
-        best_total, best_mask = kernels.vc_scan(*payload, 0, total_masks)
+        best_total, best_mask = vc_scan(*payload, 0, total_masks)
     else:
         bounds = [(total_masks * i) // workers for i in range(workers + 1)]
         chunks = [
-            (backend, payload, bounds[i], bounds[i + 1])
+            (payload, bounds[i], bounds[i + 1])
             for i in range(workers)
             if bounds[i] < bounds[i + 1]
         ]

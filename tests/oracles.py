@@ -189,3 +189,49 @@ def naive_greedy_cover(g, X, r, seeds=()):
         dom.append(best)
         uncovered -= _naive_ball(g, best, r)
     return frozenset(dom)
+
+
+def recursive_ilp_solve(model):
+    """The recursive packing branch and bound that ``ilp_solve`` replaced:
+    largest class values first, per-class limits clipped by the residual
+    capacities as the bound, strict improvement.  Recursion depth grows
+    with the class count, so only small models fit."""
+    classes = model.classes
+    caps = dict(model.capacities)
+    nclasses = len(classes)
+    best = 0
+    best_assign = tuple(0 for _ in classes)
+    assign = [0] * nclasses
+
+    def upper(i):
+        total = 0
+        for j in range(i, nclasses):
+            lim = classes[j].size
+            for u in classes[j].roots:
+                if caps[u] < lim:
+                    lim = caps[u]
+            total += lim
+        return total
+
+    def dfs(i, acc):
+        nonlocal best, best_assign
+        if acc > best:
+            best = acc
+            best_assign = tuple(assign)
+        if i == nclasses or acc + upper(i) <= best:
+            return
+        lim = classes[i].size
+        for u in classes[i].roots:
+            if caps[u] < lim:
+                lim = caps[u]
+        for x in range(lim, -1, -1):
+            assign[i] = x
+            for u in classes[i].roots:
+                caps[u] -= x
+            dfs(i + 1, acc + x)
+            for u in classes[i].roots:
+                caps[u] += x
+        assign[i] = 0
+
+    dfs(0, 0)
+    return best, best_assign

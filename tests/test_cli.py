@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import harmlesskit
 from harmlesskit.cli import main
-from harmlesskit.io import load_instance
+from harmlesskit.io import load_instance, save_instance
+
+from cases import deep_packing_instance
 
 TRIANGLE_TEXT = """\
 p hs 3 3
@@ -188,3 +195,45 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "solve", tmp_path / "missing.hs")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "variable, method", [("HARMLESSKIT_BRUTE_CAP", "brute"), ("HARMLESSKIT_COVER_CAP", "vc")]
+)
+def test_malformed_cap_variable_exits_2(capsys, monkeypatch, triangle, variable, method):
+    monkeypatch.setenv(variable, "abc")
+    assert main(["solve", "--method", method, str(triangle)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert variable in err and "'abc'" in err
+
+
+def _run_optimised(args, env_extra=()):
+    """``python -O -m harmlesskit.cli``: asserts are stripped, so every
+    guard the run relies on must be an explicit raise."""
+    src = str(Path(harmlesskit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HARMLESSKIT_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_extra)
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "harmlesskit.cli", *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_cli_under_python_O_never_shows_a_traceback(triangle, tmp_path):
+    deep = tmp_path / "deep.hs"
+    save_instance(deep_packing_instance(), deep)
+    done = _run_optimised(["solve", "--method", "vc", deep])
+    assert (done.returncode, json.loads(done.stdout)["result"]["optimum"]) == (0, 1001)
+    assert "Traceback" not in done.stderr
+
+    done = _run_optimised(["solve", triangle], {"HARMLESSKIT_BRUTE_CAP": "abc"})
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "HARMLESSKIT_BRUTE_CAP" in done.stderr
+
+    bad = tmp_path / "bad-header.hs"
+    bad.write_text("p hs three 0\n")
+    done = _run_optimised(["solve", bad])
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "line 1" in done.stderr

@@ -104,6 +104,20 @@ def test_json_rejects_malformed():
         doc_to_instance({"n": 2, "edges": [[0, 1]]})
 
 
+def test_header_only_huge_n_fails_fast_with_a_short_message():
+    # nothing proportional to n may be built before the thresholds are counted
+    with pytest.raises(ParseError, match="missing threshold") as text_err:
+        load_instance(io.StringIO(f"p hs {10**9} 0\n"))
+    assert "[1, 2, 3, 4, 5] and 999999995 more" in str(text_err.value)
+    with pytest.raises(ParseError, match="0 thresholds for 1000000000 vertices"):
+        doc_to_instance({"n": 10**9, "edges": [], "thresholds": []})
+
+
+def test_missing_thresholds_are_listed_in_full_when_few():
+    with pytest.raises(ParseError, match=r"vertices \[1, 3\]$"):
+        load_instance(io.StringIO("p hs 3 0\nt 2 1\n"))
+
+
 def test_mcc_round_trip():
     mcc = MccInstance.from_edges(3, 2, [(1, 1, 2, 2), (2, 1, 3, 1), (3, 2, 1, 1)])
     buf = io.StringIO()

@@ -12,6 +12,7 @@ from harmlesskit import (
     r_projection,
 )
 from harmlesskit.kernelize import _lily_targets
+from harmlesskit.solvers import IlpModel, NeighbourhoodClass, ilp_solve
 from harmlesskit.sparsity import (
     build_waterlily,
     domination_scattered,
@@ -20,7 +21,7 @@ from harmlesskit.sparsity import (
     waterlily_base,
 )
 
-from oracles import naive_greedy_cover, naive_projection_closure
+from oracles import naive_greedy_cover, naive_projection_closure, recursive_ilp_solve
 
 
 @st.composite
@@ -132,3 +133,26 @@ def test_waterlily_with_precomputed_base_equals_without(pair, rd):
     base = waterlily_base(g, A, r, d)
     for target in _lily_targets(len(A)):
         assert build_waterlily(g, A, r, d, target, base=base) == build_waterlily(g, A, r, d, target)
+
+
+@st.composite
+def packing_models(draw):
+    """Small packing programs: capacities on arbitrary vertex ids, classes
+    whose roots are any subset of them (empty roots are unconstrained)."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=30), unique=True, max_size=5))
+    capacities = {u: draw(st.integers(min_value=0, max_value=4)) for u in ids}
+    classes = tuple(
+        NeighbourhoodClass(
+            frozenset(u for u in ids if draw(st.booleans())),
+            tuple(range(draw(st.integers(min_value=0, max_value=4)))),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=7)))
+    )
+    return IlpModel(classes, capacities)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(packing_models())
+def test_packing_matches_recursive_reference(model):
+    # same optimum and the same assignment, so vc witnesses are unchanged
+    assert ilp_solve(model) == recursive_ilp_solve(model)

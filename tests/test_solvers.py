@@ -20,6 +20,7 @@ from harmlesskit import (
 from harmlesskit.generators import random_instance
 from harmlesskit.solvers import NeighbourhoodClass, IlpModel
 
+from cases import deep_packing_instance
 from oracles import naive_max_harmless
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -184,6 +185,12 @@ def test_ilp_rejects_infeasible_model():
         ilp_solve(model)
 
 
+def test_ilp_rejects_root_without_capacity():
+    model = IlpModel((NeighbourhoodClass(frozenset({0, 7}), (5,)),), {0: 1})
+    with pytest.raises(InvalidArgumentError, match="root 7"):
+        ilp_solve(model)
+
+
 # ---------------------------------------------------------------------------
 # the vertex-cover solver
 # ---------------------------------------------------------------------------
@@ -242,6 +249,14 @@ def test_vc_worker_invariance():
     assert seq == par
 
 
+def test_vc_deep_packing_has_no_recursion_limit():
+    # 1001 packing levels: deeper than the interpreter's default recursion limit
+    inst = deep_packing_instance()
+    size, witness = vc_solve(inst)
+    assert size == 1001
+    assert witness == frozenset(range(14, 14 + 1001))
+
+
 def test_vc_cover_cap():
     g = Graph.from_edges(30, [(2 * i, 2 * i + 1) for i in range(15)])
     inst = Instance(g, (2,) * 30)
@@ -270,7 +285,7 @@ def test_solver_self_checks_raise(monkeypatch, solve, attr, fake, message):
     inst = Instance(star(4), (2,) * 5)
     monkeypatch.setattr(SOLVERS, attr, fake)
     with pytest.raises(InvariantError, match=message):
-        solve(inst, backend="pure")
+        solve(inst)
 
 
 def test_vc_witness_size_check_raises(monkeypatch):
@@ -278,4 +293,4 @@ def test_vc_witness_size_check_raises(monkeypatch):
     real = SOLVERS.ilp_solve
     monkeypatch.setattr(SOLVERS, "ilp_solve", lambda model: (real(model)[0], (0,) * len(model.classes)))
     with pytest.raises(InvariantError, match="witness size"):
-        vc_solve(inst, backend="pure")
+        vc_solve(inst)
