@@ -15,6 +15,13 @@ def max_harmless(indptr, indices, thresholds, candidates):
     ``indptr``/``indices`` is CSR adjacency over all n vertices; candidates
     must be vertices whose selection can ever be feasible (the caller passes
     the solution core).  Returns ``(size, sorted vertex list)``.
+
+    Depth-first without recursion: one level per candidate, and ``taken``
+    is the stack, recording whether each level's candidate is in ``cur``.
+    A level first tries to include its candidate (when no neighbour's
+    budget is spent), then excludes it.  A node is cut when even taking
+    every remaining candidate cannot beat the incumbent; improvement is
+    strict, so the first optimum in this order is kept.
     """
     indptr = list(indptr)
     indices = list(indices)
@@ -27,27 +34,34 @@ def max_harmless(indptr, indices, thresholds, candidates):
     best = -1
     best_set: list[int] = []
     cur: list[int] = []
-
-    def dfs(i: int) -> None:
-        nonlocal best, best_set
+    taken: list[bool] = []
+    i = 0  # depth of the node being entered: len(taken)
+    while True:
         if len(cur) > best:
             best = len(cur)
             best_set = cur.copy()
-        if i == ncand or len(cur) + (ncand - i) <= best:
-            return
-        u = cand[i]
-        if all(budget[w] >= 1 for w in adj[u]):
-            for w in adj[u]:
-                budget[w] -= 1
-            cur.append(u)
-            dfs(i + 1)
-            cur.pop()
-            for w in adj[u]:
-                budget[w] += 1
-        dfs(i + 1)
-
-    dfs(0)
-    return best, sorted(best_set)
+        if i < ncand and len(cur) + (ncand - i) > best:
+            nbrs = adj[cand[i]]
+            include = all(budget[w] >= 1 for w in nbrs)
+            if include:
+                for w in nbrs:
+                    budget[w] -= 1
+                cur.append(cand[i])
+            taken.append(include)
+            i += 1
+            continue
+        # pop finished levels until one whose candidate can still be excluded
+        while taken:
+            i -= 1
+            if taken.pop():
+                cur.pop()
+                for w in adj[cand[i]]:
+                    budget[w] += 1
+                taken.append(False)
+                i += 1
+                break
+        else:
+            return best, sorted(best_set)
 
 
 def max_packing(class_size, cm_indptr, cm_idx, caps):

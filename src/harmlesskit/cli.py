@@ -43,6 +43,13 @@ from .sparsity import LilyFailure, build_waterlily, count_profiles, projection_c
 from .solvers import brute_force_max, vc_solve
 
 
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmlesskit",
@@ -52,20 +59,26 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--output", "-o", help="write the report here instead of stdout")
-    common.add_argument("--timing", action="store_true", help="embed wall-clock timings")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--brute-cap", type=int, default=None)
-    common.add_argument("--cover-cap", type=int, default=None)
+    # every other option goes only to the subcommands that read it, so the
+    # report's config never records a value that changed nothing
+    timing = _option("--timing", action="store_true", help="embed wall-clock timings")
+    seed = _option("--seed", type=int, default=0)
+    workers = _option("--workers", type=int, default=1)
+    brute_cap = _option("--brute-cap", type=int, default=None)
+    cover_cap = _option("--cover-cap", type=int, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="exact maximum harmless set")
+    p = sub.add_parser(
+        "solve",
+        parents=[common, timing, brute_cap, cover_cap, workers],
+        help="exact maximum harmless set",
+    )
     p.add_argument("input")
     p.add_argument("--method", choices=("brute", "vc"), default="brute")
     p.add_argument("--decide", action="store_true", help="exit 1 when the size-k decision is NO")
 
-    p = sub.add_parser("kernelize", parents=[common], help="run the reduction-rule pipeline")
+    p = sub.add_parser("kernelize", parents=[common, timing], help="run the reduction-rule pipeline")
     p.add_argument("input")
     p.add_argument("-p", "--max-threshold", type=int, default=None)
     p.add_argument("--kernel-out", help="write the kernel instance to this path")
@@ -75,17 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the unannotated kernel (two guard vertices added)",
     )
 
-    p = sub.add_parser("reduce-mcc", parents=[common], help="build the clique-reduction instance")
+    p = sub.add_parser(
+        "reduce-mcc", parents=[common, timing], help="build the clique-reduction instance"
+    )
     p.add_argument("input")
     p.add_argument("--instance-out", help="write the generated instance to this path")
     p.add_argument("--roles-out", help="write the vertex-role registry to this path")
 
     p = sub.add_parser(
-        "verify-reduction", parents=[common], help="desk-scale check of both reduction directions"
+        "verify-reduction",
+        parents=[common, timing, brute_cap],
+        help="desk-scale check of both reduction directions",
     )
     p.add_argument("input")
 
-    p = sub.add_parser("stats", parents=[common], help="projection/waterlily diagnostics")
+    p = sub.add_parser("stats", parents=[common, seed], help="projection/waterlily diagnostics")
     p.add_argument("input")
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--x-ids", help="comma-separated 1-based target vertices")
@@ -95,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lily-depth", type=int, default=None)
     p.add_argument("--lily-target", type=int, default=None)
 
-    p = sub.add_parser("fuzz", parents=[common], help="randomised oracle cross-checks")
+    p = sub.add_parser(
+        "fuzz", parents=[common, brute_cap, workers, seed], help="randomised oracle cross-checks"
+    )
     p.add_argument(
         "--suite",
         choices=("hereditary", "kernel", "vc", "reduction"),

@@ -34,9 +34,12 @@ _SHOWN_MISSING = 5  # missing-threshold ids quoted in an error message
 
 
 def _read_lines(source: Source) -> list[str]:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text().splitlines()
-    return source.read().splitlines()
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text().splitlines()
+        return source.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {exc.start} cannot be decoded") from None
 
 
 def _write_text(target: Source, text: str) -> None:
@@ -163,7 +166,7 @@ def doc_to_instance(doc: dict) -> Instance:
         thresholds = tuple(int(t) for t in doc["thresholds"])
         k = doc.get("k")
         k = None if k is None else int(k)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed instance document: {exc}") from None
     if len(thresholds) != n:  # before the graph allocates n adjacency lists
         raise ParseError(
@@ -173,8 +176,14 @@ def doc_to_instance(doc: dict) -> Instance:
 
 
 def load_instance_json(source: Source) -> Instance:
-    text = _read_lines(source)
-    return doc_to_instance(json.loads("\n".join(text)))
+    text = "\n".join(_read_lines(source))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg} (column {exc.colno})", exc.lineno) from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ParseError("invalid JSON: nested too deeply") from None
+    return doc_to_instance(doc)
 
 
 def save_instance_json(instance: Instance, target: Source, roles: dict | None = None) -> None:

@@ -37,10 +37,10 @@ class YesCertificate:
 
 
 @dataclass(frozen=True)
-class RemoveVertex:
-    """``vertex`` can be dropped from the solution core."""
+class RemoveVertices:
+    """``vertices`` (ascending) can all be dropped from the solution core."""
 
-    vertex: int
+    vertices: tuple[int, ...]
     rule: str
 
 
@@ -51,7 +51,7 @@ class Stuck:
     reason: str
 
 
-CoreShrinkOutcome = Union[YesCertificate, RemoveVertex, Stuck]
+CoreShrinkOutcome = Union[YesCertificate, RemoveVertices, Stuck]
 
 
 def _signature(g: Graph, thresholds, R: frozenset[int], v: int):
@@ -78,15 +78,6 @@ def signature(
     return _signature(g, instance.thresholds, R, v)
 
 
-@dataclass(frozen=True)
-class _Reduction:
-    kind: str  # 'yes' | 'remove' | 'stuck'
-    rule: str = ""
-    batch: tuple[int, ...] = ()
-    certificate: frozenset[int] = frozenset()
-    reason: str = ""
-
-
 def _lily_targets(size: int) -> list[int]:
     targets = []
     t = size
@@ -96,7 +87,9 @@ def _lily_targets(size: int) -> list[int]:
     return targets
 
 
-def _core_reduction(ann: AnnotatedInstance, p: int) -> _Reduction:
+def _core_reduction(ann: AnnotatedInstance, p: int) -> CoreShrinkOutcome:
+    """One application of the core rules: YES, a batch of removable core
+    vertices, or Stuck.  ``kernelize`` applies the whole batch."""
     inst = ann.instance
     g = inst.graph
     t = inst.thresholds
@@ -108,14 +101,14 @@ def _core_reduction(ann: AnnotatedInstance, p: int) -> _Reduction:
         x for x in sorted(K) if any(t[w] == 1 for w in g.adj[x])
     )
     if fragile_hit:
-        return _Reduction("remove", rule="core-fragile", batch=fragile_hit)
+        return RemoveVertices(fragile_hit, "core-fragile")
 
     # (b) a large scattered subset of K is itself harmless: early YES
     dom = domination_scattered(g, K, 1)
     if len(dom.scattered) >= k:
         if not is_harmless(inst, dom.scattered):
             raise InvariantError("scattered certificate is not harmless")
-        return _Reduction("yes", certificate=dom.scattered)
+        return YesCertificate(dom.scattered)
 
     # (c) waterlily exchange: an oversized uniform signature class has
     # interchangeable centres, so all but p*|R| of them can leave the core;
@@ -131,20 +124,13 @@ def _core_reduction(ann: AnnotatedInstance, p: int) -> _Reduction:
         members = max(classes.values(), key=lambda vs: (len(vs), -vs[0]))
         keep = p * len(lily.roots)
         if len(members) > keep:
-            return _Reduction(
-                "remove", rule="core-exchange", batch=tuple(members[: len(members) - keep])
-            )
-    return _Reduction("stuck", reason="no oversized uniform signature class found")
+            return RemoveVertices(tuple(members[: len(members) - keep]), "core-exchange")
+    return Stuck("no oversized uniform signature class found")
 
 
-def shrink_core_step(ann: AnnotatedInstance, p: int) -> CoreShrinkOutcome:
-    """One application of the core rules: YES, a removable vertex, or Stuck."""
-    res = _core_reduction(ann, p)
-    if res.kind == "yes":
-        return YesCertificate(res.certificate)
-    if res.kind == "remove":
-        return RemoveVertex(res.batch[0], res.rule)
-    return Stuck(res.reason)
+# the public name; ``kernelize`` calls ``_core_reduction``, the name a
+# profiler or tracer patches
+shrink_core_step = _core_reduction
 
 
 def shrink_graph_step(ann: AnnotatedInstance) -> Optional[int]:
@@ -249,7 +235,7 @@ def kernelize(
     certificate: Optional[tuple[int, ...]] = None
     while True:
         res = _core_reduction(ann, p)
-        if res.kind == "yes":
+        if isinstance(res, YesCertificate):
             outcome = "yes"
             certificate = tuple(sorted(res.certificate))
             step = KernelStep("early-yes", None, _YES_KERNEL.graph.n, 0)
@@ -258,9 +244,9 @@ def kernelize(
                 observer(ann, step, _YES_KERNEL)
             ann = _YES_KERNEL
             break
-        if res.kind == "stuck":
+        if isinstance(res, Stuck):
             break
-        for x in res.batch:
+        for x in res.vertices:
             before = ann
             ann = ann.shrink_core((x,))
             step = KernelStep(res.rule, x, ann.graph.n, len(ann.core))

@@ -16,16 +16,14 @@ a test gadget).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
-from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import InvalidArgumentError, ParseError, ResourceLimitError
 from .graph import Graph, Instance
+from .io import Source, _read_lines, _write_text
 from .solvers import brute_cap, brute_force_max
-
-Source = Union[str, Path, IO[str]]
 
 
 @dataclass(frozen=True)
@@ -73,14 +71,40 @@ class MccInstance:
         )
 
     def cliques(self) -> list[tuple[int, ...]]:
-        """All multicoloured cliques, as member-index tuples (x_1..x_k)."""
+        """All multicoloured cliques, as member-index tuples (x_1..x_k), in
+        lexicographic order.
+
+        Colours are filled one by one, and colour c is offered only the
+        members adjacent to every member already chosen, so the work is
+        bounded by the edges rather than by the n^k member tuples.  The
+        iterators of the open colours are the stack: no recursion.
+        """
+        # later[i, x][j]: the members of colour j > i adjacent to member x of colour i
+        later: dict[tuple[int, int], dict[int, set[int]]] = {}
+        for i, x, j, y in self.edges:
+            later.setdefault((i, x), {}).setdefault(j, set()).add(y)
+
+        def options(chosen: list[int]) -> list[int]:
+            if not chosen:
+                return sorted(x for i, x in later if i == 1)
+            c = len(chosen) + 1
+            sets = [later.get((i, x), {}).get(c, set()) for i, x in enumerate(chosen, start=1)]
+            return sorted(min(sets, key=len).intersection(*sets))
+
         found = []
-        for choice in product(range(1, self.n + 1), repeat=self.k):
-            if all(
-                (i, choice[i - 1], j, choice[j - 1]) in self.edges
-                for i, j in combinations(range(1, self.k + 1), 2)
-            ):
-                found.append(choice)
+        chosen: list[int] = []
+        stack = [iter(options(chosen))]
+        while stack:
+            x = next(stack[-1], None)
+            if x is None:  # colour len(stack) is exhausted: back to the previous one
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+            elif len(chosen) + 1 == self.k:
+                found.append((*chosen, x))
+            else:
+                chosen.append(x)
+                stack.append(iter(options(chosen)))
         return found
 
 
@@ -443,10 +467,7 @@ def verify_reduction(mcc: MccInstance, *, cap: Optional[int] = None) -> Reductio
 
 def load_mcc(source: Source) -> MccInstance:
     """Parse ``p mcc <k> <n>`` plus ``e <i> <x> <j> <y>`` edge lines."""
-    if isinstance(source, (str, Path)):
-        lines = Path(source).read_text().splitlines()
-    else:
-        lines = source.read().splitlines()
+    lines = _read_lines(source)
     k = n = None
     edges: list[tuple[int, int, int, int]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -490,8 +511,4 @@ def save_mcc(mcc: MccInstance, target: Source, *, comment: str | None = None) ->
     out.append(f"p mcc {mcc.k} {mcc.n}")
     for i, x, j, y in sorted(mcc.edges):
         out.append(f"e {i} {x} {j} {y}")
-    text = "\n".join(out) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
+    _write_text(target, "\n".join(out) + "\n")

@@ -8,7 +8,7 @@ from-scratch BFS.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def naive_is_harmless(instance, S) -> bool:
@@ -235,3 +235,50 @@ def recursive_ilp_solve(model):
 
     dfs(0, 0)
     return best, best_assign
+
+
+def recursive_max_harmless(indptr, indices, thresholds, candidates):
+    """The recursive brute-force branch and bound that ``max_harmless``
+    replaced: include the candidate first, then exclude it, cut when the
+    remaining candidates cannot beat the incumbent, strict improvement.
+    Recursion depth grows with the candidate count, so only small inputs fit."""
+    cand = list(candidates)
+    n = len(thresholds)
+    budget = [thresholds[v] - 1 for v in range(n)]
+    adj = [list(indices[indptr[v] : indptr[v + 1]]) for v in range(n)]
+    ncand = len(cand)
+    best = -1
+    best_set = []
+    cur = []
+
+    def dfs(i):
+        nonlocal best, best_set
+        if len(cur) > best:
+            best = len(cur)
+            best_set = cur.copy()
+        if i == ncand or len(cur) + (ncand - i) <= best:
+            return
+        u = cand[i]
+        if all(budget[w] >= 1 for w in adj[u]):
+            for w in adj[u]:
+                budget[w] -= 1
+            cur.append(u)
+            dfs(i + 1)
+            cur.pop()
+            for w in adj[u]:
+                budget[w] += 1
+        dfs(i + 1)
+
+    dfs(0)
+    return best, sorted(best_set)
+
+
+def product_cliques(mcc):
+    """Multicoloured cliques by testing every one of the n^k member tuples,
+    in lexicographic order."""
+    pairs = list(combinations(range(1, mcc.k + 1), 2))
+    return [
+        choice
+        for choice in product(range(1, mcc.n + 1), repeat=mcc.k)
+        if all((i, choice[i - 1], j, choice[j - 1]) in mcc.edges for i, j in pairs)
+    ]

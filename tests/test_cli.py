@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,111 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "solve", tmp_path / "missing.hs")
     assert code == 2
+
+
+def _assert_one_line_error(capsys, argv):
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("harmlesskit: error: ") and err.count("\n") == 1
+
+
+MALFORMED_INSTANCE_FILES = {
+    "truncated.json": b'{"n": 2, "edges": [[0, 1]], "thresh',
+    "latin1.hs": b"p hs 1 0\nt 1 1\nc caf\xe9\n",
+    "latin1.json": b'{"n": 1, "edges": [], "thresholds": [1], "k": "\xe9"}',
+    "overflow.json": b'{"n": 1, "edges": [], "thresholds": [1e400]}',
+    "deep.json": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INSTANCE_FILES))
+def test_malformed_instance_file_exits_2(capsys, tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(MALFORMED_INSTANCE_FILES[name])
+    _assert_one_line_error(capsys, ["solve", path])
+
+
+def test_non_utf8_mcc_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.mcc"
+    path.write_bytes(b"p mcc 2 1\ne 1 1 2 1\nc caf\xe9\n")
+    _assert_one_line_error(capsys, ["verify-reduction", path])
+
+
+@pytest.mark.parametrize("header", ["p mcc 2 1500", "p mcc 300 3"])
+def test_verify_reduction_of_header_only_file_is_fast(capsys, tmp_path, header):
+    # cliques() used to try all n^k member tuples whatever the edges
+    path = tmp_path / "empty.mcc"
+    path.write_text(header + "\n")
+    start = time.perf_counter()
+    code, out = run(capsys, "verify-reduction", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["result"]["clique_count"] == 0
+
+
+def test_brute_force_on_1500_free_vertices(capsys, tmp_path):
+    # the brute-force search used to recurse once per candidate
+    path = tmp_path / "edgeless.hs"
+    path.write_text("p hs 1500 0\n" + "".join(f"t {v} 1\n" for v in range(1, 1501)))
+    code, out = run(capsys, "solve", "--method", "brute", "--brute-cap", "5000", path)
+    assert code == 0
+    assert json.loads(out)["result"]["optimum"] == 1500
+
+
+# the options each subcommand reads, beyond --format and --output (common to
+# all), and so the keys of its report's config
+CONFIG_KEYS = {
+    "solve": {"input", "method", "decide", "timing", "brute_cap", "cover_cap", "workers"},
+    "kernelize": {"input", "max_threshold", "kernel_out", "plain", "timing"},
+    "reduce-mcc": {"input", "instance_out", "roles_out", "timing"},
+    "verify-reduction": {"input", "timing", "brute_cap"},
+    "stats": {
+        "input", "radius", "x_ids", "x_size", "closure_bound",
+        "lily_radius", "lily_depth", "lily_target", "seed",
+    },
+    "fuzz": {"suite", "count", "brute_cap", "workers", "seed"},
+}
+SHARED_OPTIONS = {
+    "--timing": "timing",
+    "--seed": "seed",
+    "--workers": "workers",
+    "--brute-cap": "brute_cap",
+    "--cover-cap": "cover_cap",
+}
+
+
+def _subcommand_argv(command, triangle, tmp_path):
+    if command in ("reduce-mcc", "verify-reduction"):
+        mcc_path = tmp_path / "edge.mcc"
+        mcc_path.write_text(MCC_EDGE)
+        return [command, mcc_path]
+    if command == "fuzz":
+        return [command, "--count", "1"]
+    return [command, triangle]
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_lists_only_options_the_subcommand_reads(capsys, triangle, tmp_path, command):
+    code, out = run(capsys, *_subcommand_argv(command, triangle, tmp_path))
+    assert code == 0
+    assert set(json.loads(out)["config"]) == CONFIG_KEYS[command]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (command, option)
+        for command in sorted(CONFIG_KEYS)
+        for option, key in SHARED_OPTIONS.items()
+        if key not in CONFIG_KEYS[command]
+    ],
+)
+def test_inert_option_is_a_usage_error(capsys, triangle, tmp_path, command, option):
+    value = [] if option == "--timing" else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in _subcommand_argv(command, triangle, tmp_path)] + [option, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

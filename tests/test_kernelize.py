@@ -11,7 +11,7 @@ from harmlesskit import (
     Instance,
     InvalidArgumentError,
     InvariantError,
-    RemoveVertex,
+    RemoveVertices,
     YesCertificate,
     brute_force_max,
     cap_thresholds,
@@ -81,7 +81,7 @@ def test_shrink_core_fragile_neighbour_case():
     g = Graph.from_edges(2, [(0, 1)])
     inst = Instance(g, (2, 1), 1)
     outcome = shrink_core_step(AnnotatedInstance(inst, frozenset({0})), p=2)
-    assert outcome == RemoveVertex(0, "core-fragile")
+    assert outcome == RemoveVertices((0,), "core-fragile")
 
 
 def test_shrink_core_yes_certificate_on_disjoint_edges():
@@ -106,11 +106,30 @@ def test_shrink_core_remove_preserves_annotated_optimum():
         extra = frozenset(v for v in range(n) if rng.random() < 0.5)
         ann = AnnotatedInstance(inst, compute_core(inst) | extra)
         outcome = shrink_core_step(ann, p=inst.k + 1)
-        if isinstance(outcome, RemoveVertex):
+        if isinstance(outcome, RemoveVertices):
             removals += 1
-            shrunk = ann.shrink_core((outcome.vertex,))
+            shrunk = ann.shrink_core(outcome.vertices)
             assert annotated_optimum(ann) == annotated_optimum(shrunk)
     assert removals > 0
+
+
+def test_shrink_core_step_is_the_rule_kernelize_applies():
+    # the package attribute ``kernelize`` is the function, so fetch the module
+    module = importlib.import_module("harmlesskit.kernelize")
+    assert shrink_core_step is module._core_reduction
+
+
+@pytest.mark.parametrize("name", ["star7-tail-k2", "star7-tail-k3"])
+def test_shrink_core_batch_matches_first_exchange_steps(name):
+    # the golden threshold-2 star: the first core step is an exchange batch,
+    # and kernelize records one step per vertex of it, in order
+    case = next(c for c in GOLDEN["cases"] if c["name"] == name)
+    inst = cap_thresholds(doc_to_instance(case["instance"]))
+    outcome = shrink_core_step(AnnotatedInstance(inst, compute_core(inst)), p=inst.k + 1)
+    assert isinstance(outcome, RemoveVertices) and outcome.rule == "core-exchange"
+    steps = case["result"]["report"]["steps"][: len(outcome.vertices)]
+    assert [s["rule"] for s in steps] == ["core-exchange"] * len(outcome.vertices)
+    assert tuple(s["vertex"] for s in steps) == outcome.vertices
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 from harmlesskit import (
     Graph,
     Instance,
+    MccInstance,
     compute_core,
     is_harmless,
     projection_profile,
     r_projection,
 )
+from harmlesskit._core._pykernels import max_harmless
 from harmlesskit.kernelize import _lily_targets
-from harmlesskit.solvers import IlpModel, NeighbourhoodClass, ilp_solve
+from harmlesskit.solvers import IlpModel, NeighbourhoodClass, _csr, ilp_solve
 from harmlesskit.sparsity import (
     build_waterlily,
     domination_scattered,
@@ -21,7 +23,13 @@ from harmlesskit.sparsity import (
     waterlily_base,
 )
 
-from oracles import naive_greedy_cover, naive_projection_closure, recursive_ilp_solve
+from oracles import (
+    naive_greedy_cover,
+    naive_projection_closure,
+    product_cliques,
+    recursive_ilp_solve,
+    recursive_max_harmless,
+)
 
 
 @st.composite
@@ -156,3 +164,38 @@ def packing_models(draw):
 def test_packing_matches_recursive_reference(model):
     # same optimum and the same assignment, so vc witnesses are unchanged
     assert ilp_solve(model) == recursive_ilp_solve(model)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(instances(max_n=12), st.data())
+def test_brute_kernel_matches_recursive_reference(inst, data):
+    # any ordered candidate list, so the visit order is exercised as well
+    order = data.draw(st.permutations(range(inst.n)))
+    candidates = order[: data.draw(st.integers(min_value=0, max_value=inst.n))]
+    indptr, indices = _csr(inst.graph)
+    thresholds = list(inst.thresholds)
+    assert max_harmless(indptr, indices, thresholds, candidates) == recursive_max_harmless(
+        indptr, indices, thresholds, candidates
+    )
+
+
+@st.composite
+def mcc_instances(draw):
+    k = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=4))
+    slots = [
+        (i, x, j, y)
+        for i in range(1, k + 1)
+        for j in range(i + 1, k + 1)
+        for x in range(1, n + 1)
+        for y in range(1, n + 1)
+    ]
+    density = draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    return MccInstance.from_edges(k, n, [e for e in slots if rnd.random() < density])
+
+
+@settings(max_examples=300, derandomize=True)
+@given(mcc_instances())
+def test_cliques_match_product_enumeration(mcc):
+    assert mcc.cliques() == product_cliques(mcc)
