@@ -284,13 +284,26 @@ def _cmd_verify_reduction(args) -> int:
     return 0 if report.ok else 2
 
 
+def _vertex_id(token: str, n: int) -> int:
+    """One 1-based vertex id from ``--x-ids``, checked against ``n``."""
+    try:
+        v = int(token)
+    except ValueError:
+        raise InvalidArgumentError(f"--x-ids: expected a vertex id, got {token!r}") from None
+    if not 1 <= v <= n:
+        raise InvalidArgumentError(f"--x-ids: vertex {v} out of range 1..{n}")
+    return v
+
+
 def _cmd_stats(args) -> int:
     instance = load_any_instance(args.input)
     g = instance.graph
     rng = random.Random(args.seed)
     if args.x_ids:
-        X = frozenset(int(tok) - 1 for tok in args.x_ids.split(","))
+        X = frozenset(_vertex_id(tok, g.n) - 1 for tok in args.x_ids.split(","))
     elif args.x_size is not None:
+        if args.x_size < 0:
+            raise InvalidArgumentError(f"--x-size must be non-negative, got {args.x_size}")
         X = frozenset(rng.sample(range(g.n), min(args.x_size, g.n)))
     else:
         X = frozenset(rng.sample(range(g.n), min(max(1, g.n // 4), g.n))) if g.n else frozenset()
@@ -310,6 +323,7 @@ def _cmd_stats(args) -> int:
             args.lily_radius,
             args.lily_depth if args.lily_depth is not None else 1,
             args.lily_target if args.lily_target is not None else 1,
+            c_close=args.closure_bound,
         )
         if isinstance(lily, LilyFailure):
             result["waterlily"] = {"ok": False, "stage": lily.stage, "detail": lily.detail}
@@ -359,10 +373,10 @@ def _cmd_fuzz(args) -> int:
             n = rng.randint(1, 9)
             inst = random_instance(rng, n, k=rng.randint(0, n))
             ann, rep = _kern(inst)
-            want = decide(inst)
+            want = decide(inst, cap=args.brute_cap)
             got = (
                 rep.outcome == "yes"
-                or brute_force_max(ann.instance, candidates=ann.core)[0]
+                or brute_force_max(ann.instance, candidates=ann.core, cap=args.brute_cap)[0]
                 >= ann.instance.k
             )
             if want != got:
@@ -370,7 +384,7 @@ def _cmd_fuzz(args) -> int:
     elif args.suite == "vc":
         for case in range(count):
             inst = random_instance(rng, rng.randint(1, 12))
-            b, _ = brute_force_max(inst)
+            b, _ = brute_force_max(inst, cap=args.brute_cap)
             v, w = vc_solve(inst, workers=args.workers)
             if b != v or not is_harmless(inst, w):
                 failures.append(f"case {case}: vc={v} oracle={b}")

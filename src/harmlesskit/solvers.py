@@ -26,24 +26,6 @@ DEFAULT_COVER_CAP = 22
 _MAX_CLASSES = 10_000
 
 
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidArgumentError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def brute_cap(cap: Optional[int] = None) -> int:
-    return cap if cap is not None else _env_cap("HARMLESSKIT_BRUTE_CAP", DEFAULT_BRUTE_CAP)
-
-
-def cover_cap(cap: Optional[int] = None) -> int:
-    return cap if cap is not None else _env_cap("HARMLESSKIT_COVER_CAP", DEFAULT_COVER_CAP)
-
-
 def _csr(g: Graph) -> tuple[list[int], list[int]]:
     indptr = [0]
     indices: list[int] = []
@@ -63,9 +45,10 @@ def brute_force_max(
 
     Search is restricted to ``compute_core`` (every harmless set lives
     there), optionally further intersected with ``candidates``.  Refuses to
-    run when more selectable vertices remain than the cap allows.
+    run when more selectable vertices remain than ``cap`` allows (None
+    means ``DEFAULT_BRUTE_CAP``).
     """
-    cap = brute_cap(cap)
+    cap = DEFAULT_BRUTE_CAP if cap is None else cap
     pool = compute_core(instance)
     if candidates is not None:
         pool &= instance.graph.check_vertex_set(candidates)
@@ -120,6 +103,36 @@ class IlpModel:
     capacities: dict[int, int]
 
 
+def _neighbourhood_classes(g: Graph, X: frozenset[int]) -> list[NeighbourhoodClass]:
+    """The cover complement partitioned by exact neighbourhood, largest
+    neighbourhood first, then by its sorted ids; members ascend."""
+    groups: dict[frozenset[int], list[int]] = {}
+    for u in range(g.n):
+        if u in X:
+            continue
+        nbrs = frozenset(g.adj[u])
+        if not nbrs <= X:
+            raise InvalidArgumentError(f"X is not a vertex cover: vertex {u} has a neighbour outside")
+        groups.setdefault(nbrs, []).append(u)
+    order = sorted(groups, key=lambda roots: (-len(roots), sorted(roots)))
+    return [NeighbourhoodClass(roots, tuple(groups[roots])) for roots in order]
+
+
+def _class_rows(
+    classes: Iterable[NeighbourhoodClass], pos: dict[int, int]
+) -> tuple[list[int], list[int]]:
+    """CSR rows listing each class's roots as capacity positions ``pos[u]``."""
+    indptr = [0]
+    indices: list[int] = []
+    for cls in classes:
+        for u in sorted(cls.roots):
+            if u not in pos:
+                raise InvalidArgumentError(f"class root {u} has no capacity")
+            indices.append(pos[u])
+        indptr.append(len(indices))
+    return indptr, indices
+
+
 def build_ilp(
     instance: Instance, X: Iterable[int], guess: Iterable[int]
 ) -> Optional[IlpModel]:
@@ -134,26 +147,16 @@ def build_ilp(
     guess = g.check_vertex_set(guess)
     if not guess <= X:
         raise InvalidArgumentError("the guessed set must be a subset of the cover")
-    groups: dict[frozenset[int], list[int]] = {}
-    for u in range(g.n):
-        if u in X:
-            continue
-        nbrs = frozenset(g.adj[u])
-        if not nbrs <= X:
-            raise InvalidArgumentError(f"X is not a vertex cover: vertex {u} has a neighbour outside")
-        if residual_budget(instance, guess, u) >= 0:
-            groups.setdefault(nbrs, []).append(u)
-        else:
-            groups.setdefault(nbrs, [])
+    classes = tuple(
+        NeighbourhoodClass(
+            cls.roots,
+            tuple(u for u in cls.members if residual_budget(instance, guess, u) >= 0),
+        )
+        for cls in _neighbourhood_classes(g, X)
+    )
     capacities = {u: residual_budget(instance, guess, u) for u in sorted(X)}
     if any(c < 0 for c in capacities.values()):
         return None
-    classes = tuple(
-        NeighbourhoodClass(roots, tuple(sorted(members)))
-        for roots, members in sorted(
-            groups.items(), key=lambda kv: (-len(kv[0]), tuple(sorted(kv[0])))
-        )
-    )
     return IlpModel(classes, capacities)
 
 
@@ -167,14 +170,7 @@ def ilp_solve(model: IlpModel) -> tuple[int, tuple[int, ...]]:
     if any(c < 0 for c in model.capacities.values()):
         raise InvalidArgumentError("infeasible model: a capacity is negative")
     pos = {u: i for i, u in enumerate(model.capacities)}
-    cm_indptr = [0]
-    cm_idx: list[int] = []
-    for cls in model.classes:
-        for u in cls.roots:
-            if u not in pos:
-                raise InvalidArgumentError(f"class root {u} has no capacity")
-            cm_idx.append(pos[u])
-        cm_indptr.append(len(cm_idx))
+    cm_indptr, cm_idx = _class_rows(model.classes, pos)
     best, assign = max_packing(
         [cls.size for cls in model.classes], cm_indptr, cm_idx, list(model.capacities.values())
     )
@@ -199,7 +195,7 @@ def vc_solve(
     independent remainder.  Results are identical for any worker count: the
     scan order is fixed and ties keep the smallest guess mask.
     """
-    cap = cover_cap(cap)
+    cap = DEFAULT_COVER_CAP if cap is None else cap
     g = instance.graph
     X = sorted(greedy_vertex_cover(g))
     nx = len(X)
@@ -213,43 +209,29 @@ def vc_solve(
     ]
     x_thresh = [instance.thresholds[v] for v in X]
 
-    groups: dict[frozenset[int], list[int]] = {}
-    for u in range(g.n):
-        if u not in xpos:
-            groups.setdefault(frozenset(g.adj[u]), []).append(u)
-    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[0]), tuple(sorted(kv[0]))))
-    if len(ordered) > _MAX_CLASSES:
-        raise ResourceLimitError(f"{len(ordered)} neighbourhood classes exceed the solver limit")
-    class_mask = []
-    class_size = []
-    class_min_t = []
-    cm_indptr = [0]
-    cm_idx: list[int] = []
-    for roots, members in ordered:
-        class_mask.append(sum(1 << xpos[u] for u in roots))
-        class_size.append(len(members))
-        class_min_t.append(min(instance.thresholds[u] for u in members))
-        cm_idx.extend(sorted(xpos[u] for u in roots))
-        cm_indptr.append(len(cm_idx))
+    classes = _neighbourhood_classes(g, frozenset(X))
+    if len(classes) > _MAX_CLASSES:
+        raise ResourceLimitError(f"{len(classes)} neighbourhood classes exceed the solver limit")
+    class_mask = [sum(1 << xpos[u] for u in cls.roots) for cls in classes]
+    class_size = [cls.size for cls in classes]
+    class_min_t = [min(instance.thresholds[u] for u in cls.members) for cls in classes]
+    cm_indptr, cm_idx = _class_rows(classes, xpos)
 
     payload = (xnbr_mask, x_thresh, class_mask, class_size, class_min_t, cm_indptr, cm_idx)
     total_masks = 1 << nx
     if workers <= 1:
         best_total, best_mask = vc_scan(*payload, 0, total_masks)
     else:
-        bounds = [(total_masks * i) // workers for i in range(workers + 1)]
-        chunks = [
-            (payload, bounds[i], bounds[i + 1])
-            for i in range(workers)
-            if bounds[i] < bounds[i + 1]
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = min(workers, total_masks)  # every chunk holds at least one mask
+        bounds = [(total_masks * i) // parts for i in range(parts + 1)]
+        chunks = [(payload, bounds[i], bounds[i + 1]) for i in range(parts)]
+        # a fork pool starts all its processes up front, so start no more
+        # than there are chunks or cores
+        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
             results = list(pool.map(_scan_chunk, chunks))
         best_total, best_mask = max(
             results, key=lambda tm: (tm[0], -tm[1])
         )
-    best_total = int(best_total)
-    best_mask = int(best_mask)
 
     guess = frozenset(X[i] for i in range(nx) if best_mask >> i & 1)
     model = build_ilp(instance, X, guess)

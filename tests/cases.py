@@ -1,8 +1,10 @@
 """Named instances shared by several test modules."""
 
+import random
 from itertools import combinations
 
-from harmlesskit import Graph, Instance
+from harmlesskit import Graph, Instance, MccInstance
+from harmlesskit.generators import random_mcc
 
 
 def deep_packing_instance() -> Instance:
@@ -15,3 +17,22 @@ def deep_packing_instance() -> Instance:
     for j, roots in enumerate(leaves):
         edges.extend((c, 14 + j) for c in roots)
     return Instance(Graph.from_edges(14 + len(leaves), edges), (2000,) * 14 + (1,) * len(leaves))
+
+
+def reduction_corpus() -> list[MccInstance]:
+    """k=2 exhaustive (n = 1 and 2), k=3 randomly sampled (n in {1, 2})."""
+    corpus = []
+    for mask in range(2):  # k=2, n=1: the single possible edge present or not
+        edges = [(1, 1, 2, 1)] if mask else []
+        corpus.append(MccInstance.from_edges(2, 1, edges))
+    all_pairs = [(1, x, 2, y) for x in (1, 2) for y in (1, 2)]
+    for mask in range(16):  # k=2, n=2: all edge sets
+        edges = [e for i, e in enumerate(all_pairs) if mask >> i & 1]
+        corpus.append(MccInstance.from_edges(2, 2, edges))
+    rng = random.Random(303)
+    for _ in range(150):
+        corpus.append(random_mcc(rng, 3, 1, edge_prob=rng.uniform(0.1, 0.9)))
+    for _ in range(150):
+        # denser k=3 n=2 instances exceed the oracle cap, so keep them sparse
+        corpus.append(random_mcc(rng, 3, 2, edge_prob=rng.uniform(0.05, 0.45)))
+    return corpus

@@ -191,6 +191,31 @@ def naive_greedy_cover(g, X, r, seeds=()):
     return frozenset(dom)
 
 
+def naive_packing_model(instance, X, guess):
+    """The packing program for a cover X and a guess inside it, from the
+    definition: ``(classes, capacities)`` or None when a cover vertex's
+    budget is already broken.
+
+    Classes group the vertices outside X by exact neighbourhood, largest
+    neighbourhood first and then by its sorted ids, as ``(roots, members)``
+    with the members that keep a non-negative residual budget, ascending.
+    """
+    g = instance.graph
+
+    def residual(v):
+        return instance.thresholds[v] - 1 - sum(1 for w in g.adj[v] if w in guess)
+
+    capacities = {x: residual(x) for x in sorted(X)}
+    if min(capacities.values(), default=0) < 0:
+        return None
+    outside = [u for u in range(g.n) if u not in X]
+    classes = [
+        (A, tuple(u for u in outside if frozenset(g.adj[u]) == A and residual(u) >= 0))
+        for A in sorted({frozenset(g.adj[u]) for u in outside}, key=lambda A: (-len(A), sorted(A)))
+    ]
+    return classes, capacities
+
+
 def recursive_ilp_solve(model):
     """The recursive packing branch and bound that ``ilp_solve`` replaced:
     largest class values first, per-class limits clipped by the residual

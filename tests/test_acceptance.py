@@ -24,11 +24,10 @@ from harmlesskit.generators import (
     random_bounded_instance,
     random_harmless_set,
     random_instance,
-    random_mcc,
 )
-from harmlesskit.reduction import MccInstance
 from harmlesskit.sparsity import LilyFailure, build_waterlily
 
+from cases import reduction_corpus
 from oracles import check_waterlily, naive_is_harmless
 
 
@@ -92,29 +91,10 @@ def test_criterion_2_vc_solver_correctness():
     report(2, "vc-solver correctness", True, f"{cases} instances, optima equal, witnesses verified")
 
 
-def _reduction_corpus():
-    """k=2 exhaustive (n = 1 and 2), k=3 randomly sampled (n in {1, 2})."""
-    corpus = []
-    for mask in range(2):  # k=2, n=1: the single possible edge present or not
-        edges = [(1, 1, 2, 1)] if mask else []
-        corpus.append(MccInstance.from_edges(2, 1, edges))
-    all_pairs = [(1, x, 2, y) for x in (1, 2) for y in (1, 2)]
-    for mask in range(16):  # k=2, n=2: all edge sets
-        edges = [e for i, e in enumerate(all_pairs) if mask >> i & 1]
-        corpus.append(MccInstance.from_edges(2, 2, edges))
-    rng = random.Random(303)
-    for _ in range(150):
-        corpus.append(random_mcc(rng, 3, 1, edge_prob=rng.uniform(0.1, 0.9)))
-    for _ in range(150):
-        # denser k=3 n=2 instances exceed the oracle cap, so keep them sparse
-        corpus.append(random_mcc(rng, 3, 2, edge_prob=rng.uniform(0.05, 0.45)))
-    return corpus
-
-
 def test_criterion_3_reduction_completeness():
     cliques_checked = 0
     cases = 0
-    for mcc in _reduction_corpus():
+    for mcc in reduction_corpus():
         out = build_reduction(mcc)
         cases += 1
         for clique in mcc.cliques():
@@ -133,7 +113,7 @@ def test_criterion_3_reduction_completeness():
 def test_criterion_4_reduction_soundness():
     checked = 0
     skipped = 0
-    for mcc in _reduction_corpus():
+    for mcc in reduction_corpus():
         out = build_reduction(mcc)
         if len(out.selectable_vertices()) > 24:
             skipped += 1  # brute force infeasible at desk scale
@@ -156,7 +136,7 @@ def test_criterion_5_modulator_identity():
 
     checked = 0
     degenerate = 0
-    for mcc in _reduction_corpus():
+    for mcc in reduction_corpus():
         out = build_reduction(mcc)
         if out.degenerate:
             degenerate += 1  # canonical NO-instance carries no gadgets

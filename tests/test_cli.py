@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import harmlesskit
+from harmlesskit import Instance
 from harmlesskit.cli import main
+from harmlesskit.generators import grid_graph
 from harmlesskit.io import load_instance, save_instance
+from harmlesskit.sparsity import build_waterlily
 
 from cases import deep_packing_instance
 
@@ -182,11 +185,57 @@ def test_stats_waterlily_dump(capsys, tmp_path):
     assert lily["ok"] and lily["roots"] == [0]
 
 
+@pytest.mark.parametrize(
+    "option, value, quoted",
+    [
+        ("--x-ids", "a", "'a'"),
+        ("--x-ids", "0", "vertex 0 "),
+        ("--x-ids", "9", "vertex 9 "),
+        ("--x-size", "-1", "-1"),
+    ],
+    ids=["x-ids-not-int", "x-ids-0", "x-ids-9", "x-size-negative"],
+)
+def test_stats_bad_target_set_exits_2(capsys, triangle, option, value, quoted):
+    assert main(["stats", str(triangle), option, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("harmlesskit: error: ") and err.count("\n") == 1
+    assert option in err and quoted in err
+
+
+def test_stats_waterlily_uses_the_closure_bound(capsys, tmp_path):
+    # on this grid the closure bound decides the stage at which the lily
+    # fails: "closure" at bound 2, "profile-class" at the default 4
+    grid = grid_graph(6, 6)
+    path = tmp_path / "grid.hs"
+    save_instance(Instance(grid, (2,) * grid.n), path)
+    X = range(0, grid.n, 2)
+    code, out = run(
+        capsys,
+        "stats", path,
+        "--x-ids", ",".join(str(v + 1) for v in X),
+        "--closure-bound", "2",
+        "--lily-radius", "2", "--lily-depth", "1", "--lily-target", "3",
+    )
+    assert code == 0
+    want = build_waterlily(grid, X, 2, 1, 3, c_close=2)
+    assert want.stage != build_waterlily(grid, X, 2, 1, 3).stage
+    assert json.loads(out)["result"]["waterlily"] == {
+        "ok": False, "stage": want.stage, "detail": want.detail
+    }
+
+
 @pytest.mark.parametrize("suite", ["hereditary", "kernel", "vc", "reduction"])
 def test_fuzz_suites_pass(capsys, suite):
     code, out = run(capsys, "fuzz", "--suite", suite, "--count", "8", "--seed", "3")
     assert code == 0
     assert json.loads(out)["result"]["passed"]
+
+
+@pytest.mark.parametrize("suite", ["kernel", "vc", "reduction"])
+def test_fuzz_passes_the_brute_cap_to_the_oracle(capsys, suite):
+    argv = ["fuzz", "--suite", suite, "--count", "8", "--seed", "3", "--brute-cap", "0"]
+    assert main(argv) == 2
+    assert "exceed the brute-force cap 0" in capsys.readouterr().err
 
 
 def test_bad_input_exits_2(capsys, tmp_path):
@@ -306,21 +355,21 @@ def test_inert_option_is_a_usage_error(capsys, triangle, tmp_path, command, opti
 @pytest.mark.parametrize(
     "variable, method", [("HARMLESSKIT_BRUTE_CAP", "brute"), ("HARMLESSKIT_COVER_CAP", "vc")]
 )
-def test_malformed_cap_variable_exits_2(capsys, monkeypatch, triangle, variable, method):
-    monkeypatch.setenv(variable, "abc")
-    assert main(["solve", "--method", method, str(triangle)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert variable in err and "'abc'" in err
+def test_cap_variables_change_nothing(capsys, monkeypatch, triangle, variable, method):
+    # a cap that config does not record must not change the outcome
+    argv = ["solve", "--method", method, triangle]
+    before = run(capsys, *argv)
+    monkeypatch.setenv(variable, "1")
+    assert run(capsys, *argv) == before
+    assert before[0] == 0
 
 
-def _run_optimised(args, env_extra=()):
+def _run_optimised(args):
     """``python -O -m harmlesskit.cli``: asserts are stripped, so every
     guard the run relies on must be an explicit raise."""
     src = str(Path(harmlesskit.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if not k.startswith("HARMLESSKIT_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-O", "-m", "harmlesskit.cli", *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120,
@@ -334,9 +383,9 @@ def test_cli_under_python_O_never_shows_a_traceback(triangle, tmp_path):
     assert (done.returncode, json.loads(done.stdout)["result"]["optimum"]) == (0, 1001)
     assert "Traceback" not in done.stderr
 
-    done = _run_optimised(["solve", triangle], {"HARMLESSKIT_BRUTE_CAP": "abc"})
+    done = _run_optimised(["stats", triangle, "--x-ids", "a"])
     assert done.returncode == 2
-    assert "Traceback" not in done.stderr and "HARMLESSKIT_BRUTE_CAP" in done.stderr
+    assert "Traceback" not in done.stderr and "--x-ids" in done.stderr
 
     bad = tmp_path / "bad-header.hs"
     bad.write_text("p hs three 0\n")

@@ -14,7 +14,14 @@ from harmlesskit import (
 )
 from harmlesskit._core._pykernels import max_harmless
 from harmlesskit.kernelize import _lily_targets
-from harmlesskit.solvers import IlpModel, NeighbourhoodClass, _csr, ilp_solve
+from harmlesskit.solvers import (
+    IlpModel,
+    NeighbourhoodClass,
+    _csr,
+    build_ilp,
+    greedy_vertex_cover,
+    ilp_solve,
+)
 from harmlesskit.sparsity import (
     build_waterlily,
     domination_scattered,
@@ -25,6 +32,7 @@ from harmlesskit.sparsity import (
 
 from oracles import (
     naive_greedy_cover,
+    naive_packing_model,
     naive_projection_closure,
     product_cliques,
     recursive_ilp_solve,
@@ -199,3 +207,20 @@ def mcc_instances(draw):
 @given(mcc_instances())
 def test_cliques_match_product_enumeration(mcc):
     assert mcc.cliques() == product_cliques(mcc)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(instances(), st.data())
+def test_build_ilp_matches_reference(inst, data):
+    g = inst.graph
+    extra = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=3)) if g.n else set()
+    X = greedy_vertex_cover(g) | extra
+    guess = frozenset(data.draw(st.sets(st.sampled_from(sorted(X)))) if X else ())
+    model = build_ilp(inst, X, guess)
+    want = naive_packing_model(inst, X, guess)
+    if want is None:
+        assert model is None
+    else:
+        assert [(cls.roots, cls.members) for cls in model.classes] == want[0]
+        assert model.capacities == want[1]
+        assert list(model.capacities) == list(want[1])

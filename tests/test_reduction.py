@@ -7,8 +7,10 @@ from harmlesskit import (
     Graph,
     InvalidArgumentError,
     MccInstance,
+    ResourceLimitError,
     brute_force_max,
     build_reduction,
+    compute_core,
     construct_clique_solution,
     is_2_spider_forest,
     is_harmless,
@@ -19,6 +21,7 @@ from harmlesskit import (
 )
 from harmlesskit.generators import random_mcc
 
+from cases import reduction_corpus
 from oracles import enumerate_harmless_sets
 
 EDGE_K2N1 = MccInstance.from_edges(2, 1, [(1, 1, 2, 1)])
@@ -266,3 +269,18 @@ def test_forbidden_vertices_are_exactly_the_non_selectable_roles():
     forbidden = out.forbidden_vertices()
     assert selectable | forbidden == frozenset(range(out.instance.n))
     assert not selectable & forbidden
+
+
+def test_selectable_vertices_are_the_core():
+    # verify_reduction leaves its cap to brute_force_max, which counts the
+    # core: the two agree only because the core is the selectable roles
+    for mcc in reduction_corpus():
+        out = build_reduction(mcc)
+        assert out.selectable_vertices() == compute_core(out.instance)
+
+
+def test_verify_reduction_cap():
+    selectable = len(build_reduction(TRIANGLE_K3N1).selectable_vertices())
+    with pytest.raises(ResourceLimitError, match=f"{selectable} selectable"):
+        verify_reduction(TRIANGLE_K3N1, cap=selectable - 1)
+    assert verify_reduction(TRIANGLE_K3N1, cap=selectable).ok

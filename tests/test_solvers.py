@@ -294,3 +294,40 @@ def test_vc_witness_size_check_raises(monkeypatch):
     monkeypatch.setattr(SOLVERS, "ilp_solve", lambda model: (real(model)[0], (0,) * len(model.classes)))
     with pytest.raises(InvariantError, match="witness size"):
         vc_solve(inst)
+
+
+# ---------------------------------------------------------------------------
+# the scan's process pool
+# ---------------------------------------------------------------------------
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and maps in this process, so the test starts no process."""
+
+    sizes: list[int] = []
+    chunks: list[tuple] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        self.chunks.extend(items)
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, size", [(64, 4), (3, 3), (None, 1)])
+def test_vc_pool_is_no_larger_than_chunks_or_cores(monkeypatch, cpus, size):
+    inst = Instance(star(4), (2,) * 5)  # greedy cover {0, 1}: 4 guess masks
+    monkeypatch.setattr(SOLVERS, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(SOLVERS.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "chunks", [])
+    assert vc_solve(inst, workers=1000) == vc_solve(inst)
+    assert RecordingPool.sizes == [size]
+    assert [(lo, hi) for _, lo, hi in RecordingPool.chunks] == [(0, 1), (1, 2), (2, 3), (3, 4)]
