@@ -1,5 +1,5 @@
 """The search kernels: brute-force branch and bound, the packing solver and
-the vertex-cover guess scan.
+the walk over the vertex-cover guesses.
 
 They work on flat integer lists (CSR adjacency, bit masks) so the solvers in
 ``harmlesskit.solvers`` can hand them plain data, also across process
@@ -133,54 +133,97 @@ def vc_scan(
     best_total=-1,
     best_mask=0,
 ):
-    """Scan cover guesses ``mask_lo <= S < mask_hi`` and fold the best total.
+    """Walk the harmless cover guesses ``mask_lo <= S < mask_hi`` and fold
+    the best total.
 
-    For each harmless guess S the residual packing program over the
-    neighbourhood classes is solved exactly.  Returns ``(best_total,
-    best_mask)`` where ties favour the smaller mask (scan order is
-    ascending and improvement is strict).
+    A guess S is harmless when every cover vertex i has fewer than
+    ``x_thresh[i]`` neighbours in S (``xnbr_mask[i]``) and every class j
+    fewer than ``class_min_t[j]`` roots in S (``class_mask[j]``).  For each
+    harmless guess the residual packing program over the neighbourhood
+    classes is solved exactly.  Returns ``(best_total, best_mask)``: the
+    largest total, ties favouring the smaller mask (guesses are visited in
+    ascending order and improvement is strict).  Only masks in
+    ``[0, 2**len(xnbr_mask))`` are guesses; the range is clipped to it.
+
+    Depth-first walk without recursion, one level per cover bit, deciding
+    bit nx-1 first and taking the 0-branch before the 1-branch, so guesses
+    come in ascending order.  The residual budgets of the cover vertices and
+    classes are updated as bits are set and restored on backtrack.  A
+    1-branch is entered only while every budget it touches stays
+    non-negative: harmlessness is closed under taking subsets, so a refused
+    branch holds no harmless guess.  Subtrees whose masks miss the range are
+    skipped.
     """
     xnbr_mask = list(xnbr_mask)
-    x_thresh = list(x_thresh)
     class_mask = list(class_mask)
     class_size = list(class_size)
-    class_min_t = list(class_min_t)
     cm_indptr = list(cm_indptr)
     cm_idx = list(cm_idx)
     nx = len(xnbr_mask)
     nclasses = len(class_mask)
-    caps = [0] * nx
+    lo = max(mask_lo, 0)
+    hi = min(mask_hi, 1 << nx)
+    # caps[i] / room[j]: how many more guessed neighbours (roots) cover
+    # vertex i (class j) takes; a negative value means no guess is harmless
+    caps = [t - 1 for t in x_thresh]
+    room = [t - 1 for t in class_min_t]
+    if lo >= hi or min(caps, default=0) < 0 or min(room, default=0) < 0:
+        return best_total, best_mask
+    # bit b of a guess uses up budget of these cover vertices and classes
+    x_hit = [[i for i in range(nx) if xnbr_mask[i] >> b & 1] for b in range(nx)]
+    c_hit = [[] for _ in range(nx)]
+    for j, m in enumerate(class_mask):
+        for b in range(min(m.bit_length(), nx)):
+            if m >> b & 1:
+                c_hit[b].append(j)
 
-    for mask in range(mask_lo, mask_hi):
-        ok = True
-        for i in range(nx):
-            used = (xnbr_mask[i] & mask).bit_count()
-            if used >= x_thresh[i]:
-                ok = False
+    mask = 0
+    taken: list[int] = []  # set bits of mask, highest first
+    pending: list[int] = []  # bits whose 1-branch is still to try, innermost last
+    b = nx  # bits >= b of mask are decided
+    while True:
+        # descend along 0-branches; the node's masks [mask, mask + 2**b) meet the range
+        while b:
+            b -= 1
+            one = mask | 1 << b
+            if one < hi:
+                pending.append(b)
+            if one <= lo:  # the 0-branch [mask, one) misses the range
                 break
-            caps[i] = x_thresh[i] - 1 - used
-        if not ok:
-            continue
-        for j in range(nclasses):
-            if (class_mask[j] & mask).bit_count() >= class_min_t[j]:
-                ok = False
+        else:
+            # leaf: mask is a harmless guess in the range
+            base = len(taken)
+            # optimistic bound: every class filled to its individual limit
+            ub = base
+            for j in range(nclasses):
+                lim = class_size[j]
+                for p in range(cm_indptr[j], cm_indptr[j + 1]):
+                    c = caps[cm_idx[p]]
+                    if c < lim:
+                        lim = c
+                ub += lim
+            if ub > best_total:
+                total = base + max_packing(class_size, cm_indptr, cm_idx, caps)[0]
+                if total > best_total:
+                    best_total = total
+                    best_mask = mask
+        # backtrack to the innermost 1-branch that keeps every budget
+        while True:
+            if not pending:
+                return best_total, best_mask
+            b = pending.pop()
+            while taken and taken[-1] < b:
+                u = taken.pop()
+                mask ^= 1 << u
+                for i in x_hit[u]:
+                    caps[i] += 1
+                for j in c_hit[u]:
+                    room[j] += 1
+            if all(caps[i] > 0 for i in x_hit[b]) and all(room[j] > 0 for j in c_hit[b]):
                 break
-        if not ok:
-            continue
-        base = mask.bit_count()
-        # optimistic bound: every class filled to its individual limit
-        ub = base
-        for j in range(nclasses):
-            lim = class_size[j]
-            for p in range(cm_indptr[j], cm_indptr[j + 1]):
-                c = caps[cm_idx[p]]
-                if c < lim:
-                    lim = c
-            ub += lim
-        if ub <= best_total:
-            continue
-        total = base + max_packing(class_size, cm_indptr, cm_idx, caps)[0]
-        if total > best_total:
-            best_total = total
-            best_mask = mask
-    return best_total, best_mask
+        mask |= 1 << b
+        taken.append(b)
+        for i in x_hit[b]:
+            caps[i] -= 1
+        for j in c_hit[b]:
+            room[j] -= 1

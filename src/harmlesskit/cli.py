@@ -295,15 +295,26 @@ def _vertex_id(token: str, n: int) -> int:
     return v
 
 
+def _check_sizes(sizes: dict) -> None:
+    """Reject a negative value of a size option; None means unset."""
+    for option, value in sizes.items():
+        if value is not None and value < 0:
+            raise InvalidArgumentError(f"{option} must be non-negative, got {value}")
+
+
 def _cmd_stats(args) -> int:
+    _check_sizes({
+        "--radius": args.radius,
+        "--x-size": args.x_size,
+        "--lily-radius": args.lily_radius,
+        "--lily-depth": args.lily_depth,
+    })
     instance = load_any_instance(args.input)
     g = instance.graph
     rng = random.Random(args.seed)
     if args.x_ids:
         X = frozenset(_vertex_id(tok, g.n) - 1 for tok in args.x_ids.split(","))
     elif args.x_size is not None:
-        if args.x_size < 0:
-            raise InvalidArgumentError(f"--x-size must be non-negative, got {args.x_size}")
         X = frozenset(rng.sample(range(g.n), min(args.x_size, g.n)))
     else:
         X = frozenset(rng.sample(range(g.n), min(max(1, g.n // 4), g.n))) if g.n else frozenset()
@@ -351,6 +362,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    _check_sizes({"--count": args.count})
     rng = random.Random(args.seed)
     failures: list[str] = []
     count = args.count

@@ -159,14 +159,23 @@ def instance_to_doc(instance: Instance, roles: dict | None = None) -> dict:
     return doc
 
 
+def _json_int(value, what: str) -> int:
+    # a JSON integer decodes to int; int() would also take a float such as
+    # 1.9 or a boolean, which are no integers
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def doc_to_instance(doc: dict) -> Instance:
     try:
-        n = int(doc["n"])
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
-        thresholds = tuple(int(t) for t in doc["thresholds"])
+        n = _json_int(doc["n"], "n")
+        edges = [(_json_int(u, "an edge end"), _json_int(v, "an edge end"))
+                 for u, v in doc["edges"]]
+        thresholds = tuple(_json_int(t, "a threshold") for t in doc["thresholds"])
         k = doc.get("k")
-        k = None if k is None else int(k)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        k = None if k is None else _json_int(k, "k")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed instance document: {exc}") from None
     if len(thresholds) != n:  # before the graph allocates n adjacency lists
         raise ParseError(

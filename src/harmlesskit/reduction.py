@@ -16,6 +16,7 @@ a test gadget).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
@@ -59,16 +60,23 @@ class MccInstance:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _edges_by_pair(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """The sorted (x, y) pairs of every colour pair i < j with an edge,
+        grouped in one pass over the edges."""
+        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, x, j, y in sorted(self.edges):
+            groups.setdefault((i, j), []).append((x, y))
+        return groups
+
     def pair_edges(self, i: int, j: int) -> list[tuple[int, int]]:
         """Sorted (x, y) pairs between colours i < j."""
-        return sorted((x, y) for (a, x, b, y) in self.edges if (a, b) == (i, j))
+        return list(self._edges_by_pair.get((i, j), ()))
 
     def missing_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j)
-            for i, j in combinations(range(1, self.k + 1), 2)
-            if not self.pair_edges(i, j)
-        )
+        """The colour pairs i < j without an edge, in lexicographic order."""
+        groups = self._edges_by_pair
+        return tuple(p for p in combinations(range(1, self.k + 1), 2) if p not in groups)
 
     def cliques(self) -> list[tuple[int, ...]]:
         """All multicoloured cliques, as member-index tuples (x_1..x_k), in
@@ -189,7 +197,9 @@ class ReductionOutput:
         }
 
 
-def _degenerate_output(mcc: MccInstance) -> ReductionOutput:
+def _degenerate_output(
+    mcc: MccInstance, missing_pairs: tuple[tuple[int, int], ...]
+) -> ReductionOutput:
     # A colour pair without edges admits no clique, and the gadget
     # arithmetic assumes every pair has at least one test gadget (for n = 1
     # the full construction would even become unsound).  Emit the canonical
@@ -207,7 +217,7 @@ def _degenerate_output(mcc: MccInstance) -> ReductionOutput:
         modulator=(),
         target=target,
         mcc=mcc,
-        missing_pairs=mcc.missing_pairs(),
+        missing_pairs=missing_pairs,
         index={},
     )
 
@@ -219,8 +229,9 @@ def build_reduction(mcc: MccInstance) -> ReductionOutput:
     the ports, test gadgets and apex, then the global forbidden pair), so
     outputs are byte-reproducible.
     """
-    if mcc.missing_pairs():
-        return _degenerate_output(mcc)
+    missing_pairs = mcc.missing_pairs()
+    if missing_pairs:
+        return _degenerate_output(mcc, missing_pairs)
 
     k, n = mcc.k, mcc.n
     ids: dict = {}

@@ -190,10 +190,12 @@ def vc_solve(
 ) -> tuple[int, frozenset[int]]:
     """Exact maximum harmless set, parameterised by the vertex cover.
 
-    Enumerates every harmless guess S inside a greedy 2-approximate cover X
-    and adds the packing optimum over the neighbourhood classes of the
-    independent remainder.  Results are identical for any worker count: the
-    scan order is fixed and ties keep the smallest guess mask.
+    Walks the harmless guesses S inside a greedy 2-approximate cover X
+    (``vc_scan``) and adds the packing optimum over the neighbourhood
+    classes of the independent remainder.  The largest total wins, ties
+    keeping the smallest guess mask; with ``workers`` > 1 the mask range is
+    split into chunks walked in a process pool and folded by the same rule,
+    so results are identical for any worker count.
     """
     cap = DEFAULT_COVER_CAP if cap is None else cap
     g = instance.graph

@@ -307,3 +307,72 @@ def product_cliques(mcc):
         for choice in product(range(1, mcc.n + 1), repeat=mcc.k)
         if all((i, choice[i - 1], j, choice[j - 1]) in mcc.edges for i, j in pairs)
     ]
+
+
+def vc_scan_reference(
+    xnbr_mask,
+    x_thresh,
+    class_mask,
+    class_size,
+    class_min_t,
+    cm_indptr,
+    cm_idx,
+    mask_lo,
+    mask_hi,
+    best_total=-1,
+    best_mask=0,
+):
+    """The cover-guess scan that the walk in ``vc_scan`` replaced: every mask
+    in ``range(mask_lo, mask_hi)`` is tested for harmlessness from scratch,
+    in ascending order, with strict improvement."""
+    from harmlesskit._core._pykernels import max_packing
+
+    nx = len(xnbr_mask)
+    nclasses = len(class_mask)
+    caps = [0] * nx
+
+    for mask in range(mask_lo, mask_hi):
+        ok = True
+        for i in range(nx):
+            used = (xnbr_mask[i] & mask).bit_count()
+            if used >= x_thresh[i]:
+                ok = False
+                break
+            caps[i] = x_thresh[i] - 1 - used
+        if not ok:
+            continue
+        for j in range(nclasses):
+            if (class_mask[j] & mask).bit_count() >= class_min_t[j]:
+                ok = False
+                break
+        if not ok:
+            continue
+        base = mask.bit_count()
+        # optimistic bound: every class filled to its individual limit
+        ub = base
+        for j in range(nclasses):
+            lim = class_size[j]
+            for p in range(cm_indptr[j], cm_indptr[j + 1]):
+                c = caps[cm_idx[p]]
+                if c < lim:
+                    lim = c
+            ub += lim
+        if ub <= best_total:
+            continue
+        total = base + max_packing(class_size, cm_indptr, cm_idx, caps)[0]
+        if total > best_total:
+            best_total = total
+            best_mask = mask
+    return best_total, best_mask
+
+
+def per_pair_edges(mcc, i, j):
+    """The (x, y) pairs between colours i < j, by a scan of every edge."""
+    return sorted((x, y) for (a, x, b, y) in mcc.edges if (a, b) == (i, j))
+
+
+def per_pair_missing_pairs(mcc):
+    """The colour pairs without an edge, one edge scan per pair."""
+    return tuple(
+        (i, j) for i, j in combinations(range(1, mcc.k + 1), 2) if not per_pair_edges(mcc, i, j)
+    )

@@ -202,6 +202,23 @@ def test_stats_bad_target_set_exits_2(capsys, triangle, option, value, quoted):
     assert option in err and quoted in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["stats", "{f}", "--radius", "-1"], "--radius"),
+        (["stats", "{f}", "--lily-radius", "-1", "--lily-depth", "-1"], "--lily-radius"),
+        (["stats", "{f}", "--lily-radius", "1", "--lily-depth", "-1"], "--lily-depth"),
+        (["fuzz", "--count", "-1"], "--count"),
+    ],
+    ids=["radius", "lily-radius", "lily-depth", "fuzz-count"],
+)
+def test_negative_size_option_exits_2(capsys, triangle, argv, option):
+    assert main([a.format(f=triangle) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("harmlesskit: error: ") and err.count("\n") == 1
+    assert f"{option} must be non-negative" in err
+
+
 def test_stats_waterlily_uses_the_closure_bound(capsys, tmp_path):
     # on this grid the closure bound decides the stage at which the lily
     # fails: "closure" at bound 2, "profile-class" at the default 4
@@ -259,6 +276,11 @@ MALFORMED_INSTANCE_FILES = {
     "latin1.json": b'{"n": 1, "edges": [], "thresholds": [1], "k": "\xe9"}',
     "overflow.json": b'{"n": 1, "edges": [], "thresholds": [1e400]}',
     "deep.json": b"[" * 100_000,
+    # int() would read these as integers: 1.9 as 1, true as 1
+    "float-threshold.json": b'{"n": 1, "edges": [], "thresholds": [1.9]}',
+    "float-k.json": b'{"n": 1, "edges": [], "thresholds": [1], "k": 1.0}',
+    "bool-n.json": b'{"n": true, "edges": [], "thresholds": [true]}',
+    "bool-edge.json": b'{"n": 2, "edges": [[false, true]], "thresholds": [1, 1]}',
 }
 
 

@@ -1,5 +1,7 @@
 """Property-based invariants over randomly drawn instances."""
 
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,7 @@ from harmlesskit import (
     projection_profile,
     r_projection,
 )
-from harmlesskit._core._pykernels import max_harmless
+from harmlesskit._core._pykernels import max_harmless, vc_scan
 from harmlesskit.kernelize import _lily_targets
 from harmlesskit.solvers import (
     IlpModel,
@@ -34,9 +36,12 @@ from oracles import (
     naive_greedy_cover,
     naive_packing_model,
     naive_projection_closure,
+    per_pair_edges,
+    per_pair_missing_pairs,
     product_cliques,
     recursive_ilp_solve,
     recursive_max_harmless,
+    vc_scan_reference,
 )
 
 
@@ -210,6 +215,14 @@ def test_cliques_match_product_enumeration(mcc):
 
 
 @settings(max_examples=300, derandomize=True)
+@given(mcc_instances())
+def test_edge_grouping_matches_per_pair_scan(mcc):
+    assert mcc.missing_pairs() == per_pair_missing_pairs(mcc)
+    for i, j in combinations(range(1, mcc.k + 1), 2):
+        assert mcc.pair_edges(i, j) == per_pair_edges(mcc, i, j)
+
+
+@settings(max_examples=300, derandomize=True)
 @given(instances(), st.data())
 def test_build_ilp_matches_reference(inst, data):
     g = inst.graph
@@ -224,3 +237,52 @@ def test_build_ilp_matches_reference(inst, data):
         assert [(cls.roots, cls.members) for cls in model.classes] == want[0]
         assert model.capacities == want[1]
         assert list(model.capacities) == list(want[1])
+
+
+@st.composite
+def vc_scan_calls(draw):
+    """``vc_scan`` arguments: up to 10 cover bits with random neighbour
+    masks and thresholds, random classes (rows list the class's roots), any
+    sub-range of the masks and any incoming incumbent.  Now and then one
+    threshold is 0, so that no guess at all is harmless."""
+    nx = draw(st.integers(min_value=0, max_value=10))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+
+    def random_mask():
+        return sum(1 << b for b in range(nx) if rnd.random() < density)
+
+    nclasses = draw(st.integers(min_value=0, max_value=6))
+    xnbr_mask = [random_mask() for _ in range(nx)]
+    class_mask = [random_mask() for _ in range(nclasses)]
+    x_thresh = [rnd.randint(1, 4) for _ in range(nx)]
+    class_min_t = [rnd.randint(1, 4) for _ in range(nclasses)]
+    class_size = [rnd.randint(0, 5) for _ in range(nclasses)]
+    if nx + nclasses and draw(st.integers(min_value=0, max_value=9)) == 0:
+        if x_thresh:
+            x_thresh[rnd.randrange(nx)] = 0
+        else:
+            class_min_t[rnd.randrange(nclasses)] = 0
+    cm_indptr, cm_idx = [0], []
+    for m in class_mask:
+        cm_idx.extend(b for b in range(nx) if m >> b & 1)
+        cm_indptr.append(len(cm_idx))
+    full = 1 << nx
+    lo, hi = sorted(draw(st.one_of(st.just((0, full)), st.tuples(*[st.integers(0, full)] * 2))))
+    best_total, best_mask = draw(
+        st.one_of(
+            st.just((-1, 0)),
+            st.tuples(st.integers(-1, nx + 5 * nclasses), st.integers(0, full - 1)),
+        )
+    )
+    payload = (xnbr_mask, x_thresh, class_mask, class_size, class_min_t, cm_indptr, cm_idx)
+    return payload, lo, hi, best_total, best_mask
+
+
+@settings(max_examples=400, derandomize=True)
+@given(vc_scan_calls())
+def test_vc_walk_matches_scan_reference(call):
+    payload, lo, hi, best_total, best_mask = call
+    assert vc_scan(*payload, lo, hi, best_total, best_mask) == vc_scan_reference(
+        *payload, lo, hi, best_total, best_mask
+    )

@@ -17,6 +17,7 @@ from harmlesskit import (
     is_harmless,
     vc_solve,
 )
+from harmlesskit._core._pykernels import vc_scan
 from harmlesskit.generators import random_instance
 from harmlesskit.solvers import NeighbourhoodClass, IlpModel
 
@@ -255,6 +256,16 @@ def test_vc_deep_packing_has_no_recursion_limit():
     size, witness = vc_solve(inst)
     assert size == 1001
     assert witness == frozenset(range(14, 14 + 1001))
+
+
+def test_vc_walk_prunes_infeasible_guesses():
+    # 60 cover bits and one class rooted at every bit with min_t = 1: every
+    # non-empty guess activates the class, so only the empty guess is
+    # harmless.  Its packing optimum is min(class size, cover budget) = 2.
+    # A scan of the 2^60 masks would not finish.
+    nx = 60
+    payload = ([0] * nx, [3] * nx, [(1 << nx) - 1], [5], [1], [0, nx], list(range(nx)))
+    assert vc_scan(*payload, 0, 1 << nx) == (2, 0)
 
 
 def test_vc_cover_cap():
