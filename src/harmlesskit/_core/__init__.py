@@ -1,6 +1,8 @@
 """The search kernels (``_pykernels``), written in pure Python.
 
-``DEFAULT_BACKEND`` names that implementation for tools that record it.
+They take the solvers' own lists: adjacency rows, thresholds, and one row of
+cover positions per neighbourhood class.  ``DEFAULT_BACKEND`` names that
+implementation for tools that record it.
 """
 
 DEFAULT_BACKEND = "pure"

@@ -1,20 +1,21 @@
 """The search kernels: brute-force branch and bound, the packing solver and
 the walk over the vertex-cover guesses.
 
-They work on flat integer lists (CSR adjacency, bit masks) so the solvers in
-``harmlesskit.solvers`` can hand them plain data, also across process
-boundaries.  Every search is deterministic, including its tie-breaking.
+They take the lists the solvers in ``harmlesskit.solvers`` already hold:
+adjacency rows, thresholds, and one row of capacity positions per class.
+Every search is deterministic, including its tie-breaking.
 """
 
 from __future__ import annotations
 
 
-def max_harmless(indptr, indices, thresholds, candidates):
+def max_harmless(adj, thresholds, candidates):
     """Branch-and-bound maximum harmless set over the given candidates.
 
-    ``indptr``/``indices`` is CSR adjacency over all n vertices; candidates
-    must be vertices whose selection can ever be feasible (the caller passes
-    the solution core).  Returns ``(size, sorted vertex list)``.
+    ``adj[v]`` lists the neighbours of each of the n vertices; the candidate
+    sequence must hold vertices whose selection can ever be feasible (the
+    caller passes the solution core, in visit order).  Returns ``(size,
+    sorted vertex list)``.
 
     Depth-first without recursion: one level per candidate, and ``taken``
     is the stack, recording whether each level's candidate is in ``cur``.
@@ -23,13 +24,8 @@ def max_harmless(indptr, indices, thresholds, candidates):
     every remaining candidate cannot beat the incumbent; improvement is
     strict, so the first optimum in this order is kept.
     """
-    indptr = list(indptr)
-    indices = list(indices)
-    cand = list(candidates)
-    n = len(thresholds)
-    budget = [thresholds[v] - 1 for v in range(n)]
-    adj = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
-    ncand = len(cand)
+    budget = [t - 1 for t in thresholds]
+    ncand = len(candidates)
 
     best = -1
     best_set: list[int] = []
@@ -41,12 +37,12 @@ def max_harmless(indptr, indices, thresholds, candidates):
             best = len(cur)
             best_set = cur.copy()
         if i < ncand and len(cur) + (ncand - i) > best:
-            nbrs = adj[cand[i]]
+            nbrs = adj[candidates[i]]
             include = all(budget[w] >= 1 for w in nbrs)
             if include:
                 for w in nbrs:
                     budget[w] -= 1
-                cur.append(cand[i])
+                cur.append(candidates[i])
             taken.append(include)
             i += 1
             continue
@@ -55,7 +51,7 @@ def max_harmless(indptr, indices, thresholds, candidates):
             i -= 1
             if taken.pop():
                 cur.pop()
-                for w in adj[cand[i]]:
+                for w in adj[candidates[i]]:
                     budget[w] += 1
                 taken.append(False)
                 i += 1
@@ -64,10 +60,10 @@ def max_harmless(indptr, indices, thresholds, candidates):
             return best, sorted(best_set)
 
 
-def max_packing(class_size, cm_indptr, cm_idx, caps):
+def max_packing(class_size, rows, caps):
     """Exact packing: maximise sum(x_j) with 0 <= x_j <= class_size[j] and,
-    for every capacity c, the x_j of the classes listing c (CSR rows
-    ``cm_idx[cm_indptr[j]:cm_indptr[j + 1]]``) summing to at most caps[c].
+    for every capacity c, the x_j of the classes listing c (``rows[j]``
+    holds class j's capacity positions) summing to at most caps[c].
 
     Depth-first branch and bound without recursion: the partial assignment
     is the stack, one level per class, and each level counts its value down
@@ -81,15 +77,14 @@ def max_packing(class_size, cm_indptr, cm_idx, caps):
 
     def limit(j):
         lim = class_size[j]
-        for p in range(cm_indptr[j], cm_indptr[j + 1]):
-            c = caps[cm_idx[p]]
-            if c < lim:
-                lim = c
+        for c in rows[j]:
+            if caps[c] < lim:
+                lim = caps[c]
         return lim
 
     def take(j, x):
-        for p in range(cm_indptr[j], cm_indptr[j + 1]):
-            caps[cm_idx[p]] -= x
+        for c in rows[j]:
+            caps[c] -= x
 
     best = 0
     best_assign = [0] * nclasses
@@ -121,13 +116,11 @@ def max_packing(class_size, cm_indptr, cm_idx, caps):
 
 
 def vc_scan(
-    xnbr_mask,
+    x_rows,
     x_thresh,
-    class_mask,
+    class_rows,
     class_size,
     class_min_t,
-    cm_indptr,
-    cm_idx,
     mask_lo,
     mask_hi,
     best_total=-1,
@@ -136,14 +129,16 @@ def vc_scan(
     """Walk the harmless cover guesses ``mask_lo <= S < mask_hi`` and fold
     the best total.
 
-    A guess S is harmless when every cover vertex i has fewer than
-    ``x_thresh[i]`` neighbours in S (``xnbr_mask[i]``) and every class j
-    fewer than ``class_min_t[j]`` roots in S (``class_mask[j]``).  For each
-    harmless guess the residual packing program over the neighbourhood
-    classes is solved exactly.  Returns ``(best_total, best_mask)``: the
-    largest total, ties favouring the smaller mask (guesses are visited in
-    ascending order and improvement is strict).  Only masks in
-    ``[0, 2**len(xnbr_mask))`` are guesses; the range is clipped to it.
+    Bit b of a guess stands for cover position b.  A guess S is harmless
+    when every cover vertex i has fewer than ``x_thresh[i]`` neighbours in S
+    (the positions in ``x_rows[i]``) and every class j fewer than
+    ``class_min_t[j]`` roots in S (the positions in ``class_rows[j]``).
+    For each harmless guess the residual packing program over the
+    neighbourhood classes is solved exactly.  Returns
+    ``(best_total, best_mask)``: the largest total, ties favouring the
+    smaller mask (guesses are visited in ascending order and improvement is
+    strict).  Only masks in ``[0, 2**len(x_rows))`` are guesses; the range
+    is clipped to it.
 
     Depth-first walk without recursion, one level per cover bit, deciding
     bit nx-1 first and taking the 0-branch before the 1-branch, so guesses
@@ -154,13 +149,8 @@ def vc_scan(
     branch holds no harmless guess.  Subtrees whose masks miss the range are
     skipped.
     """
-    xnbr_mask = list(xnbr_mask)
-    class_mask = list(class_mask)
-    class_size = list(class_size)
-    cm_indptr = list(cm_indptr)
-    cm_idx = list(cm_idx)
-    nx = len(xnbr_mask)
-    nclasses = len(class_mask)
+    nx = len(x_rows)
+    nclasses = len(class_rows)
     lo = max(mask_lo, 0)
     hi = min(mask_hi, 1 << nx)
     # caps[i] / room[j]: how many more guessed neighbours (roots) cover
@@ -170,12 +160,14 @@ def vc_scan(
     if lo >= hi or min(caps, default=0) < 0 or min(room, default=0) < 0:
         return best_total, best_mask
     # bit b of a guess uses up budget of these cover vertices and classes
-    x_hit = [[i for i in range(nx) if xnbr_mask[i] >> b & 1] for b in range(nx)]
+    x_hit = [[] for _ in range(nx)]
+    for i, row in enumerate(x_rows):
+        for b in row:
+            x_hit[b].append(i)
     c_hit = [[] for _ in range(nx)]
-    for j, m in enumerate(class_mask):
-        for b in range(min(m.bit_length(), nx)):
-            if m >> b & 1:
-                c_hit[b].append(j)
+    for j, row in enumerate(class_rows):
+        for b in row:
+            c_hit[b].append(j)
 
     mask = 0
     taken: list[int] = []  # set bits of mask, highest first
@@ -197,13 +189,12 @@ def vc_scan(
             ub = base
             for j in range(nclasses):
                 lim = class_size[j]
-                for p in range(cm_indptr[j], cm_indptr[j + 1]):
-                    c = caps[cm_idx[p]]
-                    if c < lim:
-                        lim = c
+                for c in class_rows[j]:
+                    if caps[c] < lim:
+                        lim = caps[c]
                 ub += lim
             if ub > best_total:
-                total = base + max_packing(class_size, cm_indptr, cm_idx, caps)[0]
+                total = base + max_packing(class_size, class_rows, caps)[0]
                 if total > best_total:
                     best_total = total
                     best_mask = mask

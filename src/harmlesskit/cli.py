@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 for a NO answer when a decision was requested,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -243,7 +244,7 @@ def _cmd_reduce_mcc(args) -> int:
         "m": mcc.m,
         "target": out.target,
         "degenerate": out.degenerate,
-        "missing_pairs": [list(p) for p in out.missing_pairs],
+        **out.missing_pairs_doc(),
         "instance_vertices": out.instance.n,
         "instance_edges": out.instance.graph.m,
         "modulator_size": len(out.modulator),
@@ -438,9 +439,13 @@ _COMMANDS = {
 }
 
 
+# built once per process: parsing leaves a parser unchanged, and one build
+# constructs 13 of them
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, InvalidArgumentError, ResourceLimitError, OSError) as exc:

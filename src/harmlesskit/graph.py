@@ -52,10 +52,6 @@ class Graph:
         self.check_vertex(u)
         return self.adj[u]
 
-    def degree(self, u: int) -> int:
-        self.check_vertex(u)
-        return len(self.adj[u])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as ordered pairs (u < v), sorted lexicographically."""
         for u in range(self.n):

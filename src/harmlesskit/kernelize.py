@@ -12,7 +12,7 @@ being assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InvalidArgumentError, InvariantError
 from .graph import (
@@ -23,7 +23,7 @@ from .graph import (
     compute_core,
     is_harmless,
 )
-from .sparsity import LilyFailure, build_waterlily, domination_scattered, waterlily_base
+from .sparsity import LilyFailure, _greedy_scattered, build_waterlily, waterlily_base
 
 LILY_RADIUS = 2
 LILY_DEPTH = 1
@@ -104,11 +104,11 @@ def _core_reduction(ann: AnnotatedInstance, p: int) -> CoreShrinkOutcome:
         return RemoveVertices(fragile_hit, "core-fragile")
 
     # (b) a large scattered subset of K is itself harmless: early YES
-    dom = domination_scattered(g, K, 1)
-    if len(dom.scattered) >= k:
-        if not is_harmless(inst, dom.scattered):
+    scattered = frozenset(_greedy_scattered(g, K, 1))
+    if len(scattered) >= k:
+        if not is_harmless(inst, scattered):
             raise InvariantError("scattered certificate is not harmless")
-        return YesCertificate(dom.scattered)
+        return YesCertificate(scattered)
 
     # (c) waterlily exchange: an oversized uniform signature class has
     # interchangeable centres, so all but p*|R| of them can leave the core;
@@ -198,16 +198,11 @@ class KernelReport:
         }
 
 
-Observer = Callable[[AnnotatedInstance, KernelStep, AnnotatedInstance], None]
-
 _YES_KERNEL = AnnotatedInstance(Instance(Graph.from_edges(0, ()), (), 0), frozenset())
 
 
 def kernelize(
-    instance: Instance,
-    p: Optional[int] = None,
-    *,
-    observer: Optional[Observer] = None,
+    instance: Instance, p: Optional[int] = None
 ) -> tuple[AnnotatedInstance, KernelReport]:
     """Run core rules to a fixpoint, then twin rules to exhaustion.
 
@@ -238,33 +233,22 @@ def kernelize(
         if isinstance(res, YesCertificate):
             outcome = "yes"
             certificate = tuple(sorted(res.certificate))
-            step = KernelStep("early-yes", None, _YES_KERNEL.graph.n, 0)
-            steps.append(step)
-            if observer is not None:
-                observer(ann, step, _YES_KERNEL)
+            steps.append(KernelStep("early-yes", None, _YES_KERNEL.graph.n, 0))
             ann = _YES_KERNEL
             break
         if isinstance(res, Stuck):
             break
         for x in res.vertices:
-            before = ann
             ann = ann.shrink_core((x,))
-            step = KernelStep(res.rule, x, ann.graph.n, len(ann.core))
-            steps.append(step)
-            if observer is not None:
-                observer(before, step, ann)
+            steps.append(KernelStep(res.rule, x, ann.graph.n, len(ann.core)))
 
     if outcome == "kernel":
         while True:
             v = shrink_graph_step(ann)
             if v is None:
                 break
-            before = ann
             ann = ann.without_vertex(v)
-            step = KernelStep("twin", v, ann.graph.n, len(ann.core))
-            steps.append(step)
-            if observer is not None:
-                observer(before, step, ann)
+            steps.append(KernelStep("twin", v, ann.graph.n, len(ann.core)))
 
     report = KernelReport(
         p=p,

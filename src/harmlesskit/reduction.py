@@ -26,6 +26,8 @@ from .graph import Graph, Instance
 from .io import Source, _read_lines, _write_text
 from .solvers import brute_force_max
 
+_SHOWN_PAIRS = 10  # missing colour pairs listed in a report
+
 
 @dataclass(frozen=True)
 class MccInstance:
@@ -183,6 +185,14 @@ class ReductionOutput:
                 out.append((min(ends), max(ends)))
         return out
 
+    def missing_pairs_doc(self) -> dict:
+        """The first missing colour pairs in lexicographic order, and how
+        many there are: a header alone can declare C(k, 2) of them."""
+        return {
+            "missing_pairs": [list(p) for p in self.missing_pairs[:_SHOWN_PAIRS]],
+            "missing_pair_count": len(self.missing_pairs),
+        }
+
     def roles_doc(self) -> dict:
         return {
             "format": "harmlesskit-roles",
@@ -191,7 +201,7 @@ class ReductionOutput:
             "m": self.mcc.m,
             "target": self.target,
             "degenerate": self.degenerate,
-            "missing_pairs": [list(p) for p in self.missing_pairs],
+            **self.missing_pairs_doc(),
             "modulator": list(self.modulator),
             "roles": [r.to_doc() for r in self.roles],
         }

@@ -26,15 +26,6 @@ DEFAULT_COVER_CAP = 22
 _MAX_CLASSES = 10_000
 
 
-def _csr(g: Graph) -> tuple[list[int], list[int]]:
-    indptr = [0]
-    indices: list[int] = []
-    for v in range(g.n):
-        indices.extend(g.adj[v])
-        indptr.append(len(indices))
-    return indptr, indices
-
-
 def brute_force_max(
     instance: Instance,
     *,
@@ -57,12 +48,11 @@ def brute_force_max(
             f"{len(pool)} selectable vertices exceed the brute-force cap {cap}"
         )
     order = sorted(pool, key=lambda v: (-len(instance.graph.adj[v]), v))
-    indptr, indices = _csr(instance.graph)
-    size, witness = max_harmless(indptr, indices, list(instance.thresholds), order)
-    witness_set = frozenset(int(v) for v in witness)
+    size, witness = max_harmless(instance.graph.adj, instance.thresholds, order)
+    witness_set = frozenset(witness)
     if not is_harmless(instance, witness_set):
         raise InvariantError("search returned a non-harmless witness")
-    return int(size), witness_set
+    return size, witness_set
 
 
 def decide(instance: Instance, **kwargs) -> bool:
@@ -120,17 +110,16 @@ def _neighbourhood_classes(g: Graph, X: frozenset[int]) -> list[NeighbourhoodCla
 
 def _class_rows(
     classes: Iterable[NeighbourhoodClass], pos: dict[int, int]
-) -> tuple[list[int], list[int]]:
-    """CSR rows listing each class's roots as capacity positions ``pos[u]``."""
-    indptr = [0]
-    indices: list[int] = []
+) -> list[list[int]]:
+    """One row per class listing its roots as capacity positions ``pos[u]``."""
+    rows = []
     for cls in classes:
-        for u in sorted(cls.roots):
+        roots = sorted(cls.roots)
+        for u in roots:
             if u not in pos:
                 raise InvalidArgumentError(f"class root {u} has no capacity")
-            indices.append(pos[u])
-        indptr.append(len(indices))
-    return indptr, indices
+        rows.append([pos[u] for u in roots])
+    return rows
 
 
 def build_ilp(
@@ -170,9 +159,10 @@ def ilp_solve(model: IlpModel) -> tuple[int, tuple[int, ...]]:
     if any(c < 0 for c in model.capacities.values()):
         raise InvalidArgumentError("infeasible model: a capacity is negative")
     pos = {u: i for i, u in enumerate(model.capacities)}
-    cm_indptr, cm_idx = _class_rows(model.classes, pos)
     best, assign = max_packing(
-        [cls.size for cls in model.classes], cm_indptr, cm_idx, list(model.capacities.values())
+        [cls.size for cls in model.classes],
+        _class_rows(model.classes, pos),
+        list(model.capacities.values()),
     )
     return best, tuple(assign)
 
@@ -206,20 +196,16 @@ def vc_solve(
     if nx > 62:
         raise ResourceLimitError("cover sizes above 62 do not fit the guess-mask width")
     xpos = {v: i for i, v in enumerate(X)}
-    xnbr_mask = [
-        sum(1 << xpos[w] for w in g.adj[v] if w in xpos) for v in X
-    ]
+    x_rows = [[xpos[w] for w in g.adj[v] if w in xpos] for v in X]
     x_thresh = [instance.thresholds[v] for v in X]
 
     classes = _neighbourhood_classes(g, frozenset(X))
     if len(classes) > _MAX_CLASSES:
         raise ResourceLimitError(f"{len(classes)} neighbourhood classes exceed the solver limit")
-    class_mask = [sum(1 << xpos[u] for u in cls.roots) for cls in classes]
     class_size = [cls.size for cls in classes]
     class_min_t = [min(instance.thresholds[u] for u in cls.members) for cls in classes]
-    cm_indptr, cm_idx = _class_rows(classes, xpos)
 
-    payload = (xnbr_mask, x_thresh, class_mask, class_size, class_min_t, cm_indptr, cm_idx)
+    payload = (x_rows, x_thresh, _class_rows(classes, xpos), class_size, class_min_t)
     total_masks = 1 << nx
     if workers <= 1:
         best_total, best_mask = vc_scan(*payload, 0, total_masks)

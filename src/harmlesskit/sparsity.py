@@ -45,14 +45,6 @@ class ProjectionProfile:
     radius: int
     finite: tuple[tuple[int, int], ...]
 
-    def distance(self, x: int) -> float:
-        if x not in self.targets:
-            raise InvalidArgumentError(f"vertex {x} is not in the profile's target set")
-        for v, d in self.finite:
-            if v == x:
-                return d
-        return INFINITY
-
     def support(self) -> frozenset[int]:
         """Members of X reached within the radius (equals the r-projection)."""
         return frozenset(v for v, _ in self.finite)
@@ -306,13 +298,6 @@ class LilyFailure:
         return False
 
 
-def pad(g: Graph, lily: Waterlily, centre: int) -> frozenset[int]:
-    """The pad of a centre: its radius-ball in G minus the roots."""
-    if centre not in lily.centres:
-        raise InvalidArgumentError(f"vertex {centre} is not a centre")
-    return frozenset(ball(g, centre, lily.radius, removed=lily.roots))
-
-
 def verify_waterlily(g: Graph, lily: Waterlily, A: Optional[frozenset[int]] = None) -> list[str]:
     """Check all structural invariants directly; returns the violations found."""
     problems: list[str] = []
@@ -403,7 +388,6 @@ def build_waterlily(
     target: int,
     *,
     c_close: int = DEFAULT_CLOSURE_BOUND,
-    hub_budget: int = DEFAULT_HUB_BUDGET,
     base: LilyBase | LilyFailure | None = None,
 ) -> Waterlily | LilyFailure:
     """Construct a uniform waterlily with >= target centres inside A, or fail.
@@ -444,7 +428,7 @@ def build_waterlily(
             f"largest profile class has {len(members)} members, need {target}",
         )
 
-    uqw = uqw_scattered(g, members, r, target, hub_budget)
+    uqw = uqw_scattered(g, members, r, target)
     if not uqw.ok:
         return LilyFailure(
             "scattering",

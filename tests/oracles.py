@@ -262,7 +262,7 @@ def recursive_ilp_solve(model):
     return best, best_assign
 
 
-def recursive_max_harmless(indptr, indices, thresholds, candidates):
+def recursive_max_harmless(adj, thresholds, candidates):
     """The recursive brute-force branch and bound that ``max_harmless``
     replaced: include the candidate first, then exclude it, cut when the
     remaining candidates cannot beat the incumbent, strict improvement.
@@ -270,7 +270,6 @@ def recursive_max_harmless(indptr, indices, thresholds, candidates):
     cand = list(candidates)
     n = len(thresholds)
     budget = [thresholds[v] - 1 for v in range(n)]
-    adj = [list(indices[indptr[v] : indptr[v + 1]]) for v in range(n)]
     ncand = len(cand)
     best = -1
     best_set = []
@@ -310,13 +309,11 @@ def product_cliques(mcc):
 
 
 def vc_scan_reference(
-    xnbr_mask,
+    x_rows,
     x_thresh,
-    class_mask,
+    class_rows,
     class_size,
     class_min_t,
-    cm_indptr,
-    cm_idx,
     mask_lo,
     mask_hi,
     best_total=-1,
@@ -327,6 +324,8 @@ def vc_scan_reference(
     in ascending order, with strict improvement."""
     from harmlesskit._core._pykernels import max_packing
 
+    xnbr_mask = [sum(1 << b for b in row) for row in x_rows]
+    class_mask = [sum(1 << b for b in row) for row in class_rows]
     nx = len(xnbr_mask)
     nclasses = len(class_mask)
     caps = [0] * nx
@@ -352,14 +351,13 @@ def vc_scan_reference(
         ub = base
         for j in range(nclasses):
             lim = class_size[j]
-            for p in range(cm_indptr[j], cm_indptr[j + 1]):
-                c = caps[cm_idx[p]]
-                if c < lim:
-                    lim = c
+            for b in class_rows[j]:
+                if caps[b] < lim:
+                    lim = caps[b]
             ub += lim
         if ub <= best_total:
             continue
-        total = base + max_packing(class_size, cm_indptr, cm_idx, caps)[0]
+        total = base + max_packing(class_size, class_rows, caps)[0]
         if total > best_total:
             best_total = total
             best_mask = mask

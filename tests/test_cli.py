@@ -161,6 +161,32 @@ def test_reduce_and_verify_round_trip(capsys, tmp_path):
     assert doc["result"]["equivalence_ok"] and doc["result"]["forbidden_ok"]
 
 
+def test_reduce_mcc_report_lists_few_missing_pairs(capsys, tmp_path):
+    # the header alone declares C(1000, 2) = 499,500 colour pairs, none with an edge
+    mcc_path = tmp_path / "header.mcc"
+    mcc_path.write_text("p mcc 1000 3\n")
+    roles_path = tmp_path / "header.roles.json"
+    start = time.perf_counter()
+    code, out = run(capsys, "reduce-mcc", mcc_path, "--roles-out", roles_path)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 1.0
+    first = [[1, j] for j in range(2, 12)]
+    for doc in (json.loads(out)["result"], json.loads(roles_path.read_text())):
+        assert doc["degenerate"] is True
+        assert doc["missing_pair_count"] == 499500
+        assert doc["missing_pairs"] == first
+
+
+def test_main_reuses_its_parser_without_carrying_options(capsys, triangle):
+    code, out = run(capsys, "solve", "--brute-cap", "5", triangle)
+    assert code == 0
+    assert json.loads(out)["config"]["brute_cap"] == 5
+    code, out = run(capsys, "solve", triangle)
+    assert code == 0
+    assert json.loads(out)["config"]["brute_cap"] is None
+
+
 def test_stats_reports_profiles(capsys, triangle):
     code, out = run(capsys, "stats", triangle, "--radius", "1", "--x-ids", "1,2")
     assert code == 0

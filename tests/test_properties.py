@@ -19,7 +19,6 @@ from harmlesskit.kernelize import _lily_targets
 from harmlesskit.solvers import (
     IlpModel,
     NeighbourhoodClass,
-    _csr,
     build_ilp,
     greedy_vertex_cover,
     ilp_solve,
@@ -185,10 +184,9 @@ def test_brute_kernel_matches_recursive_reference(inst, data):
     # any ordered candidate list, so the visit order is exercised as well
     order = data.draw(st.permutations(range(inst.n)))
     candidates = order[: data.draw(st.integers(min_value=0, max_value=inst.n))]
-    indptr, indices = _csr(inst.graph)
-    thresholds = list(inst.thresholds)
-    assert max_harmless(indptr, indices, thresholds, candidates) == recursive_max_harmless(
-        indptr, indices, thresholds, candidates
+    adj, thresholds = inst.graph.adj, inst.thresholds
+    assert max_harmless(adj, thresholds, candidates) == recursive_max_harmless(
+        adj, thresholds, candidates
     )
 
 
@@ -242,19 +240,19 @@ def test_build_ilp_matches_reference(inst, data):
 @st.composite
 def vc_scan_calls(draw):
     """``vc_scan`` arguments: up to 10 cover bits with random neighbour
-    masks and thresholds, random classes (rows list the class's roots), any
+    rows and thresholds, random classes (rows list the class's roots), any
     sub-range of the masks and any incoming incumbent.  Now and then one
     threshold is 0, so that no guess at all is harmless."""
     nx = draw(st.integers(min_value=0, max_value=10))
     rnd = draw(st.randoms(use_true_random=False))
     density = draw(st.sampled_from([0.1, 0.3, 0.6]))
 
-    def random_mask():
-        return sum(1 << b for b in range(nx) if rnd.random() < density)
+    def random_row():
+        return [b for b in range(nx) if rnd.random() < density]
 
     nclasses = draw(st.integers(min_value=0, max_value=6))
-    xnbr_mask = [random_mask() for _ in range(nx)]
-    class_mask = [random_mask() for _ in range(nclasses)]
+    x_rows = [random_row() for _ in range(nx)]
+    class_rows = [random_row() for _ in range(nclasses)]
     x_thresh = [rnd.randint(1, 4) for _ in range(nx)]
     class_min_t = [rnd.randint(1, 4) for _ in range(nclasses)]
     class_size = [rnd.randint(0, 5) for _ in range(nclasses)]
@@ -263,10 +261,6 @@ def vc_scan_calls(draw):
             x_thresh[rnd.randrange(nx)] = 0
         else:
             class_min_t[rnd.randrange(nclasses)] = 0
-    cm_indptr, cm_idx = [0], []
-    for m in class_mask:
-        cm_idx.extend(b for b in range(nx) if m >> b & 1)
-        cm_indptr.append(len(cm_idx))
     full = 1 << nx
     lo, hi = sorted(draw(st.one_of(st.just((0, full)), st.tuples(*[st.integers(0, full)] * 2))))
     best_total, best_mask = draw(
@@ -275,7 +269,7 @@ def vc_scan_calls(draw):
             st.tuples(st.integers(-1, nx + 5 * nclasses), st.integers(0, full - 1)),
         )
     )
-    payload = (xnbr_mask, x_thresh, class_mask, class_size, class_min_t, cm_indptr, cm_idx)
+    payload = (x_rows, x_thresh, class_rows, class_size, class_min_t)
     return payload, lo, hi, best_total, best_mask
 
 

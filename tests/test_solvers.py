@@ -264,7 +264,7 @@ def test_vc_walk_prunes_infeasible_guesses():
     # harmless.  Its packing optimum is min(class size, cover budget) = 2.
     # A scan of the 2^60 masks would not finish.
     nx = 60
-    payload = ([0] * nx, [3] * nx, [(1 << nx) - 1], [5], [1], [0, nx], list(range(nx)))
+    payload = ([[]] * nx, [3] * nx, [list(range(nx))], [5], [1])
     assert vc_scan(*payload, 0, 1 << nx) == (2, 0)
 
 

@@ -63,8 +63,7 @@ def test_r_projection_on_path():
 
 def test_projection_profile_entries():
     prof = projection_profile(PATH4, {0, 3}, 1, 2)
-    assert prof.distance(0) == 1
-    assert prof.distance(3) == 2
+    assert prof.finite == ((0, 1), (3, 2))
     assert prof.support() == {0, 3}
     assert prof.as_dict() == {0: 1, 3: 2}
 
@@ -73,7 +72,7 @@ def test_projection_profile_isolated_vertex():
     g = Graph.from_edges(3, [(0, 1)])
     prof = projection_profile(g, {0, 1}, 2, 4)
     assert prof.support() == frozenset()
-    assert prof.distance(0) == math.inf
+    assert prof.as_dict() == {0: math.inf, 1: math.inf}
 
 
 def test_false_twins_share_profile():
