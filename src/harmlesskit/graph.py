@@ -72,12 +72,7 @@ class Graph:
     def without_vertex(self, v: int) -> "Graph":
         """Delete ``v``; vertices above it shift down by one to stay dense."""
         self.check_vertex(v)
-        edges = [
-            (u - (u > v), w - (w > v))
-            for u, w in self.edges()
-            if u != v and w != v
-        ]
-        return Graph.from_edges(self.n - 1, edges)
+        return self.induced(u for u in range(self.n) if u != v)[0]
 
     def induced(self, keep: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on ``keep``; returns it plus the old->new id map."""
@@ -264,19 +259,3 @@ class AnnotatedInstance:
 
     def shrink_core(self, drop: Iterable[int]) -> "AnnotatedInstance":
         return AnnotatedInstance(self.instance, self.core - frozenset(drop))
-
-
-@dataclass(frozen=True)
-class SolutionSet:
-    """A vertex subset, optionally carrying a verified-harmless witness flag."""
-
-    vertices: frozenset[int]
-    verified: bool = False
-
-    @classmethod
-    def checked(cls, instance: Instance, vertices: Iterable[int]) -> "SolutionSet":
-        vs = instance.graph.check_vertex_set(vertices)
-        return cls(vs, is_harmless(instance, vs))
-
-    def __len__(self) -> int:
-        return len(self.vertices)

@@ -11,6 +11,7 @@ being assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -133,12 +134,15 @@ def _core_reduction(ann: AnnotatedInstance, p: int) -> CoreShrinkOutcome:
 shrink_core_step = _core_reduction
 
 
-def shrink_graph_step(ann: AnnotatedInstance) -> Optional[int]:
-    """Pick a removable core-twin outside K, or None when none exists.
+def _twin_removals(ann: AnnotatedInstance) -> list[int]:
+    """The core-twins outside K the twin rule removes, in order, as ids of ``ann``.
 
     Two outside vertices with the same neighbourhood inside K constrain
     solutions identically except for their thresholds; the larger threshold
     is implied by the smaller one, so that vertex goes (ties: higher id).
+    Removals change no class, so each loses members in that order down to
+    one.  The rule serves the class with the smallest lowest remaining id,
+    which only grows: the order sorts by (that id, place in the class).
     """
     g = ann.graph
     t = ann.instance.thresholds
@@ -147,13 +151,19 @@ def shrink_graph_step(ann: AnnotatedInstance) -> Optional[int]:
     for u in range(g.n):
         if u not in K:
             groups.setdefault(frozenset(w for w in g.adj[u] if w in K), []).append(u)
-    for u in range(g.n):
-        if u in K:
-            continue
-        grp = groups[frozenset(w for w in g.adj[u] if w in K)]
-        if len(grp) >= 2:
-            return max(grp, key=lambda w: (t[w], w))
-    return None
+    order = []
+    for members in groups.values():
+        *gone, low = sorted(members, key=lambda w: (t[w], w), reverse=True)
+        for i in range(len(gone) - 1, -1, -1):
+            low = min(low, gone[i])
+            order.append((low, i, gone[i]))
+    return [v for _, _, v in sorted(order)]
+
+
+def shrink_graph_step(ann: AnnotatedInstance) -> Optional[int]:
+    """The core-twin outside K the twin rule removes first, or None."""
+    order = _twin_removals(ann)
+    return order[0] if order else None
 
 
 @dataclass(frozen=True)
@@ -204,7 +214,7 @@ _YES_KERNEL = AnnotatedInstance(Instance(Graph.from_edges(0, ()), (), 0), frozen
 def kernelize(
     instance: Instance, p: Optional[int] = None
 ) -> tuple[AnnotatedInstance, KernelReport]:
-    """Run core rules to a fixpoint, then twin rules to exhaustion.
+    """Run core rules to a fixpoint, then remove every core-twin at once.
 
     Without an explicit bound p the thresholds are first capped at k+1,
     which preserves the size-k decision.  An early YES yields the canonical
@@ -243,12 +253,17 @@ def kernelize(
             steps.append(KernelStep(res.rule, x, ann.graph.n, len(ann.core)))
 
     if outcome == "kernel":
-        while True:
-            v = shrink_graph_step(ann)
-            if v is None:
-                break
-            ann = ann.without_vertex(v)
-            steps.append(KernelStep("twin", v, ann.graph.n, len(ann.core)))
+        # a step names v as numbered when it went: minus earlier removals below v
+        n, core_size = ann.graph.n, len(ann.core)
+        removed = _twin_removals(ann)
+        gone: list[int] = []
+        for v in removed:
+            insort(gone, v)
+            steps.append(KernelStep("twin", v - bisect_left(gone, v), n - len(gone), core_size))
+        if removed:
+            g, remap = ann.graph.induced(set(range(n)).difference(removed))
+            inst = Instance(g, tuple(ann.instance.thresholds[u] for u in remap), k)
+            ann = AnnotatedInstance(inst, frozenset(remap[u] for u in ann.core))
 
     report = KernelReport(
         p=p,

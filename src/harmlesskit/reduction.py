@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidArgumentError, ParseError
 from .graph import Graph, Instance
 from .io import Source, _read_lines, _write_text
-from .solvers import brute_force_max
+from .solvers import brute_force_max, check_brute_cap
 
 _SHOWN_PAIRS = 10  # missing colour pairs listed in a report
 
@@ -75,10 +75,18 @@ class MccInstance:
         """Sorted (x, y) pairs between colours i < j."""
         return list(self._edges_by_pair.get((i, j), ()))
 
+    def _missing_pair_walk(self) -> Iterator[tuple[int, int]]:
+        """The colour pairs i < j without an edge, lazily, in lexicographic order."""
+        groups = self._edges_by_pair
+        return (p for p in combinations(range(1, self.k + 1), 2) if p not in groups)
+
     def missing_pairs(self) -> tuple[tuple[int, int], ...]:
         """The colour pairs i < j without an edge, in lexicographic order."""
-        groups = self._edges_by_pair
-        return tuple(p for p in combinations(range(1, self.k + 1), 2) if p not in groups)
+        return tuple(self._missing_pair_walk())
+
+    def missing_pair_count(self) -> int:
+        """C(k, 2) minus the colour pairs with an edge: counted, not listed."""
+        return comb(self.k, 2) - len(self._edges_by_pair)
 
     def cliques(self) -> list[tuple[int, ...]]:
         """All multicoloured cliques, as member-index tuples (x_1..x_k), in
@@ -152,7 +160,7 @@ class ReductionOutput:
     modulator: tuple[int, ...]
     target: int
     mcc: MccInstance
-    missing_pairs: tuple[tuple[int, int], ...] = ()
+    missing_pairs: tuple[tuple[int, int], ...] = ()  # the first _SHOWN_PAIRS
     index: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -189,8 +197,8 @@ class ReductionOutput:
         """The first missing colour pairs in lexicographic order, and how
         many there are: a header alone can declare C(k, 2) of them."""
         return {
-            "missing_pairs": [list(p) for p in self.missing_pairs[:_SHOWN_PAIRS]],
-            "missing_pair_count": len(self.missing_pairs),
+            "missing_pairs": [list(p) for p in self.missing_pairs],
+            "missing_pair_count": self.mcc.missing_pair_count(),
         }
 
     def roles_doc(self) -> dict:
@@ -207,9 +215,7 @@ class ReductionOutput:
         }
 
 
-def _degenerate_output(
-    mcc: MccInstance, missing_pairs: tuple[tuple[int, int], ...]
-) -> ReductionOutput:
+def _degenerate_output(mcc: MccInstance) -> ReductionOutput:
     # A colour pair without edges admits no clique, and the gadget
     # arithmetic assumes every pair has at least one test gadget (for n = 1
     # the full construction would even become unsound).  Emit the canonical
@@ -227,7 +233,7 @@ def _degenerate_output(
         modulator=(),
         target=target,
         mcc=mcc,
-        missing_pairs=missing_pairs,
+        missing_pairs=tuple(islice(mcc._missing_pair_walk(), _SHOWN_PAIRS)),
         index={},
     )
 
@@ -239,9 +245,8 @@ def build_reduction(mcc: MccInstance) -> ReductionOutput:
     the ports, test gadgets and apex, then the global forbidden pair), so
     outputs are byte-reproducible.
     """
-    missing_pairs = mcc.missing_pairs()
-    if missing_pairs:
-        return _degenerate_output(mcc, missing_pairs)
+    if mcc.missing_pair_count():
+        return _degenerate_output(mcc)
 
     k, n = mcc.k, mcc.n
     ids: dict = {}
@@ -316,7 +321,6 @@ def build_reduction(mcc: MccInstance) -> ReductionOutput:
         modulator=modulator,
         target=target,
         mcc=mcc,
-        missing_pairs=(),
         index=ids,
     )
 
@@ -459,8 +463,10 @@ def verify_reduction(mcc: MccInstance, *, cap: Optional[int] = None) -> Reductio
     A clique must exist iff the oracle finds a harmless set of the target
     size, and no oracle witness may touch a forbidden vertex.  ``cap`` is the
     oracle's: it bounds the core of H, which is exactly the selectable (light
-    and dark) vertices.
+    and dark) vertices, 2kn + m(n + 1) of them: checked before H is built.
     """
+    if not mcc.missing_pair_count():
+        check_brute_cap(2 * mcc.k * mcc.n + mcc.m * (mcc.n + 1), cap)
     out = build_reduction(mcc)
     optimum, witness = brute_force_max(out.instance, cap=cap)
     cliques = mcc.cliques()

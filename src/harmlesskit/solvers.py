@@ -26,6 +26,14 @@ DEFAULT_COVER_CAP = 22
 _MAX_CLASSES = 10_000
 
 
+def check_brute_cap(count: int, cap: Optional[int]) -> None:
+    """Refuse a brute-force search over ``count`` selectable vertices when
+    that exceeds ``cap`` (None means ``DEFAULT_BRUTE_CAP``)."""
+    cap = DEFAULT_BRUTE_CAP if cap is None else cap
+    if count > cap:
+        raise ResourceLimitError(f"{count} selectable vertices exceed the brute-force cap {cap}")
+
+
 def brute_force_max(
     instance: Instance,
     *,
@@ -39,14 +47,10 @@ def brute_force_max(
     run when more selectable vertices remain than ``cap`` allows (None
     means ``DEFAULT_BRUTE_CAP``).
     """
-    cap = DEFAULT_BRUTE_CAP if cap is None else cap
     pool = compute_core(instance)
     if candidates is not None:
         pool &= instance.graph.check_vertex_set(candidates)
-    if len(pool) > cap:
-        raise ResourceLimitError(
-            f"{len(pool)} selectable vertices exceed the brute-force cap {cap}"
-        )
+    check_brute_cap(len(pool), cap)
     order = sorted(pool, key=lambda v: (-len(instance.graph.adj[v]), v))
     size, witness = max_harmless(instance.graph.adj, instance.thresholds, order)
     witness_set = frozenset(witness)
@@ -193,8 +197,6 @@ def vc_solve(
     nx = len(X)
     if nx > cap:
         raise ResourceLimitError(f"greedy cover has {nx} vertices, above the cap {cap}")
-    if nx > 62:
-        raise ResourceLimitError("cover sizes above 62 do not fit the guess-mask width")
     xpos = {v: i for i, v in enumerate(X)}
     x_rows = [[xpos[w] for w in g.adj[v] if w in xpos] for v in X]
     x_thresh = [instance.thresholds[v] for v in X]

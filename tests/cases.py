@@ -36,3 +36,14 @@ def reduction_corpus() -> list[MccInstance]:
         # denser k=3 n=2 instances exceed the oracle cap, so keep them sparse
         corpus.append(random_mcc(rng, 3, 2, edge_prob=rng.uniform(0.05, 0.45)))
     return corpus
+
+
+def fragile_heavy_instance(n: int, seed: int) -> Instance:
+    """A random degree-3 graph (stub pairing) with 70% threshold-1 vertices
+    and k = n: no early YES, and most vertices leave as core-twins."""
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(3)]
+    rng.shuffle(stubs)
+    edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2]) if u != v}
+    thresholds = tuple(1 if rng.random() < 0.7 else rng.randint(2, 4) for _ in range(n))
+    return Instance(Graph.from_edges(n, sorted(edges)), thresholds, n)

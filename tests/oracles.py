@@ -374,3 +374,84 @@ def per_pair_missing_pairs(mcc):
     return tuple(
         (i, j) for i, j in combinations(range(1, mcc.k + 1), 2) if not per_pair_edges(mcc, i, j)
     )
+
+
+def reference_shrink_graph_step(ann):
+    """The twin rule's pick by its definition: regroup the outside vertices
+    by neighbourhood inside K; the first outside vertex (by id) that has a
+    twin names the class, whose largest (threshold, id) member goes."""
+    g, t, K = ann.graph, ann.instance.thresholds, ann.core
+    groups = {}
+    for u in range(g.n):
+        if u not in K:
+            groups.setdefault(frozenset(w for w in g.adj[u] if w in K), []).append(u)
+    for u in range(g.n):
+        if u in K:
+            continue
+        grp = groups[frozenset(w for w in g.adj[u] if w in K)]
+        if len(grp) >= 2:
+            return max(grp, key=lambda w: (t[w], w))
+    return None
+
+
+def reference_twin_phase(ann):
+    """The twin rule as a fixpoint loop: one pick, one rebuilt instance per
+    removal.  Returns the kernel and one (vertex, graph size, core size)
+    triple per removal, the vertex numbered as when it went."""
+    steps = []
+    while True:
+        v = reference_shrink_graph_step(ann)
+        if v is None:
+            return ann, steps
+        ann = ann.without_vertex(v)
+        steps.append((v, ann.graph.n, len(ann.core)))
+
+
+def reference_kernelize(instance, p=None):
+    """``kernelize`` with its twin phase run by ``reference_twin_phase``;
+    the core phase is the library's own.  Returns the kernel and the
+    report's document."""
+    from harmlesskit.graph import AnnotatedInstance, cap_thresholds, compute_core
+    from harmlesskit.kernelize import (
+        _YES_KERNEL,
+        KernelReport,
+        KernelStep,
+        Stuck,
+        YesCertificate,
+        _core_reduction,
+    )
+
+    k = instance.require_k()
+    if p is None:
+        work, p = cap_thresholds(instance), k + 1
+    else:
+        work = instance
+    ann = AnnotatedInstance(work, compute_core(work))
+    initial = (ann.graph.n, len(ann.core))
+    steps, certificate = [], None
+    while True:
+        res = _core_reduction(ann, p)
+        if isinstance(res, YesCertificate):
+            certificate = tuple(sorted(res.certificate))
+            steps.append(KernelStep("early-yes", None, 0, 0))
+            ann = _YES_KERNEL
+            break
+        if isinstance(res, Stuck):
+            break
+        for x in res.vertices:
+            ann = ann.shrink_core((x,))
+            steps.append(KernelStep(res.rule, x, ann.graph.n, len(ann.core)))
+    if certificate is None:
+        ann, twins = reference_twin_phase(ann)
+        steps.extend(KernelStep("twin", v, gn, cn) for v, gn, cn in twins)
+    report = KernelReport(
+        p=p,
+        initial_graph_size=initial[0],
+        initial_core_size=initial[1],
+        final_graph_size=ann.graph.n,
+        final_core_size=len(ann.core),
+        outcome="kernel" if certificate is None else "yes",
+        certificate=certificate,
+        steps=tuple(steps),
+    )
+    return ann, report.to_doc()

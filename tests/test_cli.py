@@ -296,6 +296,18 @@ def _assert_one_line_error(capsys, argv):
     assert err.startswith("harmlesskit: error: ") and err.count("\n") == 1
 
 
+def test_verify_reduction_refuses_before_building_h(capsys, tmp_path):
+    # H would have 2kn + m(n+1) = 500,001 selectable vertices, far above the cap
+    path = tmp_path / "wide.mcc"
+    path.write_text("p mcc 2 100000\ne 1 1 2 1\n")
+    start = time.perf_counter()
+    assert main(["verify-reduction", str(path)]) == 2
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert err == "harmlesskit: error: 500001 selectable vertices exceed the brute-force cap 24\n"
+    assert elapsed < 1.0
+
+
 MALFORMED_INSTANCE_FILES = {
     "truncated.json": b'{"n": 2, "edges": [[0, 1]], "thresh',
     "latin1.hs": b"p hs 1 0\nt 1 1\nc caf\xe9\n",

@@ -8,7 +8,6 @@ from harmlesskit import (
     Graph,
     Instance,
     InvalidArgumentError,
-    SolutionSet,
     cap_thresholds,
     compute_core,
     is_harmless,
@@ -166,8 +165,3 @@ def test_instance_validation():
     empty = Instance(Graph.from_edges(0, ()), (), 0)
     assert empty.n == 0
 
-
-def test_solution_set_checked():
-    inst = Instance(TRIANGLE, (2, 2, 2))
-    assert SolutionSet.checked(inst, {0}).verified
-    assert not SolutionSet.checked(inst, {0, 1}).verified

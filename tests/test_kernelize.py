@@ -27,6 +27,7 @@ from harmlesskit.generators import random_instance
 from harmlesskit.io import doc_to_instance, dumps, instance_to_doc
 from harmlesskit.kernelize import kernel_decision
 
+from cases import fragile_heavy_instance
 from oracles import naive_max_harmless
 
 
@@ -149,6 +150,23 @@ def test_twin_removal_tie_breaks_on_higher_id():
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
     inst = Instance(g, (9, 2, 2), 1)
     assert shrink_graph_step(AnnotatedInstance(inst, frozenset({0}))) == 2
+
+
+def test_twin_phase_builds_the_kernel_graph_once(monkeypatch):
+    # hundreds of twin removals, and no graph built but the kernel's
+    inst = fragile_heavy_instance(600, 3)
+    from_edges = Graph.from_edges.__func__
+    built = []
+
+    def counting(cls, n, edges):
+        built.append(n)
+        return from_edges(cls, n, edges)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(counting))
+    ann, report = kernelize(inst)
+    assert report.rule_counts() == {"twin": inst.n - ann.graph.n}
+    assert inst.n - ann.graph.n > 400
+    assert built == [ann.graph.n]
 
 
 def test_no_twins_outside_core():

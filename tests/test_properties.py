@@ -1,21 +1,25 @@
 """Property-based invariants over randomly drawn instances."""
 
+import random
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmlesskit import (
+    AnnotatedInstance,
     Graph,
     Instance,
     MccInstance,
     compute_core,
     is_harmless,
+    kernelize,
     projection_profile,
     r_projection,
+    shrink_graph_step,
 )
 from harmlesskit._core._pykernels import max_harmless, vc_scan
-from harmlesskit.kernelize import _lily_targets
+from harmlesskit.kernelize import _lily_targets, _twin_removals
 from harmlesskit.solvers import (
     IlpModel,
     NeighbourhoodClass,
@@ -40,6 +44,9 @@ from oracles import (
     product_cliques,
     recursive_ilp_solve,
     recursive_max_harmless,
+    reference_kernelize,
+    reference_shrink_graph_step,
+    reference_twin_phase,
     vc_scan_reference,
 )
 
@@ -280,3 +287,46 @@ def test_vc_walk_matches_scan_reference(call):
     assert vc_scan(*payload, lo, hi, best_total, best_mask) == vc_scan_reference(
         *payload, lo, hi, best_total, best_mask
     )
+
+
+@st.composite
+def twin_heavy_instances(draw, max_n=40):
+    """Sparse to dense graphs whose threshold-1 share runs from none to
+    nearly all (so many outside vertices have an empty neighbourhood inside
+    K) and whose other thresholds come from a small range (so ties are
+    common), with k anywhere in 0..n+1 and p either unset or the largest
+    threshold."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    density = draw(st.sampled_from([0.05, 0.1, 0.2, 0.4]))
+    ones = draw(st.sampled_from([0.0, 0.3, 0.6, 0.8, 0.95]))
+    top = draw(st.integers(min_value=2, max_value=4))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+    thresholds = tuple(1 if rnd.random() < ones else rnd.randint(2, top) for _ in range(n))
+    k = draw(st.integers(min_value=0, max_value=n + 1))
+    p = draw(st.sampled_from([None, max(thresholds, default=1)]))
+    return Instance(Graph.from_edges(n, edges), thresholds, k), p
+
+
+@settings(max_examples=400, derandomize=True)
+@given(twin_heavy_instances())
+def test_kernelize_matches_reference_twin_loop(case):
+    inst, p = case
+    ann, report = kernelize(inst, p)
+    assert (ann, report.to_doc()) == reference_kernelize(inst, p)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(twin_heavy_instances(), st.integers(min_value=0, max_value=2**32))
+def test_twin_order_matches_reference_loop(case, seed):
+    inst, _ = case
+    rnd = random.Random(seed)
+    core = frozenset(v for v in range(inst.n) if rnd.random() < 0.5)
+    ann = AnnotatedInstance(inst, core)
+    assert shrink_graph_step(ann) == reference_shrink_graph_step(ann)
+    order = _twin_removals(ann)
+    _, steps = reference_twin_phase(ann)
+    # each removal as numbered when it went: minus the earlier removals below it
+    assert [v - sum(w < v for w in order[:i]) for i, v in enumerate(order)] == [
+        s[0] for s in steps
+    ]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -14,6 +15,7 @@ from harmlesskit import (
     construct_clique_solution,
     is_2_spider_forest,
     is_harmless,
+    load_mcc,
     modulator_set,
     reduction_target_size,
     residual_budget,
@@ -284,3 +286,30 @@ def test_verify_reduction_cap():
     with pytest.raises(ResourceLimitError, match=f"{selectable} selectable"):
         verify_reduction(TRIANGLE_K3N1, cap=selectable - 1)
     assert verify_reduction(TRIANGLE_K3N1, cap=selectable).ok
+
+
+def test_selectable_count_is_read_from_the_input():
+    # verify_reduction refuses an input by this count before it builds H
+    for mcc in reduction_corpus():
+        out = build_reduction(mcc)
+        if not out.degenerate:
+            assert len(compute_core(out.instance)) == 2 * mcc.k * mcc.n + mcc.m * (mcc.n + 1)
+
+
+def test_header_only_reduction_counts_missing_pairs_without_listing_them(tmp_path):
+    # the header declares C(1500, 2) = 1,124,250 colour pairs, none with an edge
+    path = tmp_path / "header.mcc"
+    path.write_text("p mcc 1500 3\n")
+    mcc = load_mcc(path)
+    tracemalloc.start()
+    try:
+        out = build_reduction(mcc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert out.degenerate
+    assert out.missing_pairs_doc() == {
+        "missing_pairs": [[1, j] for j in range(2, 12)],
+        "missing_pair_count": comb(1500, 2),
+    }

@@ -268,6 +268,18 @@ def test_vc_walk_prunes_infeasible_guesses():
     assert vc_scan(*payload, 0, 1 << nx) == (2, 0)
 
 
+def test_vc_cover_above_62_vertices():
+    # a 32-edge matching with a threshold-1 leaf on each of its 64 cover
+    # vertices: guess masks are Python ints, so no cover width is refused,
+    # and the walk visits only the empty guess
+    edges = [(2 * i, 2 * i + 1) for i in range(32)] + [(c, 64 + c) for c in range(64)]
+    inst = Instance(Graph.from_edges(128, edges), (2,) * 64 + (1,) * 64)
+    assert len(greedy_vertex_cover(inst.graph)) == 64
+    size, witness = vc_solve(inst, cap=70)
+    assert size == 64 == brute_force_max(inst, cap=70)[0]
+    assert witness == frozenset(range(64, 128))
+
+
 def test_vc_cover_cap():
     g = Graph.from_edges(30, [(2 * i, 2 * i + 1) for i in range(15)])
     inst = Instance(g, (2,) * 30)
