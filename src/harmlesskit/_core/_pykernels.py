@@ -13,49 +13,134 @@ def max_harmless(adj, thresholds, candidates):
     """Branch-and-bound maximum harmless set over the given candidates.
 
     ``adj[v]`` lists the neighbours of each of the n vertices; the candidate
-    sequence must hold vertices whose selection can ever be feasible (the
-    caller passes the solution core, in visit order).  Returns ``(size,
+    sequence must hold distinct vertices whose selection can ever be feasible
+    (the caller passes the solution core, in visit order).  Returns ``(size,
     sorted vertex list)``.
 
-    Depth-first without recursion: one level per candidate, and ``taken``
-    is the stack, recording whether each level's candidate is in ``cur``.
-    A level first tries to include its candidate (when no neighbour's
-    budget is spent), then excludes it.  A node is cut when even taking
-    every remaining candidate cannot beat the incumbent; improvement is
-    strict, so the first optimum in this order is kept.
+    Depth-first without recursion: one level per candidate, and ``stack``
+    holds each level's state, recording whether its candidate is in ``cur``.
+    A level first tries to include its candidate (when no neighbour's budget
+    is spent), then excludes it.  Improvement is strict, so the first optimum
+    in this order is kept.
+
+    A node is cut when ``len(cur) + live - excess`` cannot beat the
+    incumbent.  ``live`` counts the undecided candidates that no spent
+    budget blocks: budgets only fall deeper in the search, so a blocked
+    candidate stays blocked in the whole subtree.  ``excess`` charges the
+    budgets of a family of vertices w fixed before the search, whose
+    live-candidate neighbourhoods are pairwise disjoint: at most budget[w]
+    of w's live undecided neighbours L(w) can still be taken, so
+    sum(max(0, L(w) - budget[w])) of the live candidates are lost.  The
+    family is picked greedily, largest initial excess first.  Both terms
+    are kept up to date as candidates are decided and budgets spent.
+
+    The bound never exceeds the plain count of the remaining candidates,
+    and it is never below the best set a subtree holds.  So the search
+    visits the nodes of the plain-count search in the same order, minus
+    subtrees that cannot improve, and finds the same incumbents and the same
+    witness.
     """
-    budget = [t - 1 for t in thresholds]
+    n = len(thresholds)
     ncand = len(candidates)
+    budget = [t - 1 for t in thresholds]
+    pos = [-1] * n  # candidate position; candidate x is undecided at depth i iff pos[x] >= i
+    for p, c in enumerate(candidates):
+        pos[c] = p
+    # spent[x]: neighbours of x with no budget left; x can be taken iff it is 0
+    spent = [0] * n
+    for w in range(n):
+        if budget[w] <= 0:
+            for x in adj[w]:
+                spent[x] += 1
+    live = sum(1 for c in candidates if not spent[c])
+
+    # owner[x]: the family member whose budget covers live candidate x;
+    # L[w]: w's live undecided neighbours (0 outside the family)
+    owner = [-1] * n
+    L = [0] * n
+    excess = 0
+    over = []
+    for w in range(n):
+        nb = [x for x in adj[w] if pos[x] >= 0 and not spent[x]]
+        if nb and len(nb) > budget[w]:  # a live neighbour means budget[w] >= 1
+            over.append((budget[w] - len(nb), w, nb))
+    for minus_excess, w, nb in sorted(over):
+        if all(owner[x] < 0 for x in nb):
+            for x in nb:
+                owner[x] = w
+            L[w] = len(nb)
+            excess -= minus_excess
 
     best = -1
     best_set: list[int] = []
     cur: list[int] = []
-    taken: list[bool] = []
-    i = 0  # depth of the node being entered: len(taken)
+    # per level: (state, live, excess at the level's entry); state 2 while
+    # the candidate is in cur, 1 once it is excluded after that, 0 when it
+    # was blocked
+    stack: list[tuple[int, int, int]] = []
+    i = 0  # depth of the node being entered: len(stack)
     while True:
         if len(cur) > best:
             best = len(cur)
             best_set = cur.copy()
-        if i < ncand and len(cur) + (ncand - i) > best:
-            nbrs = adj[candidates[i]]
-            include = all(budget[w] >= 1 for w in nbrs)
-            if include:
-                for w in nbrs:
-                    budget[w] -= 1
-                cur.append(candidates[i])
-            taken.append(include)
+        if i < ncand and len(cur) + live - excess > best:
+            c = candidates[i]
+            if spent[c]:
+                stack.append((0, live, excess))
+            else:
+                stack.append((2, live, excess))
+                # c leaves the undecided candidates...
+                live -= 1
+                o = owner[c]
+                if o >= 0:
+                    L[o] -= 1
+                    if L[o] >= budget[o]:
+                        excess -= 1
+                # ...and spends a unit of each neighbour's budget
+                for w in adj[c]:
+                    b = budget[w] - 1
+                    budget[w] = b
+                    if L[w] > b:
+                        excess += 1
+                    if not b:  # w's neighbours are blocked from here on
+                        for x in adj[w]:
+                            s = spent[x]
+                            spent[x] = s + 1
+                            if not s and pos[x] > i:
+                                live -= 1
+                                o = owner[x]
+                                if o >= 0:
+                                    L[o] -= 1
+                                    if L[o] >= budget[o]:
+                                        excess -= 1
+                cur.append(c)
             i += 1
             continue
         # pop finished levels until one whose candidate can still be excluded
-        while taken:
+        while stack:
             i -= 1
-            if taken.pop():
+            state, live, excess = stack.pop()
+            c = candidates[i]
+            if state == 2:
                 cur.pop()
-                for w in adj[candidates[i]]:
+                for w in adj[c]:
+                    if not budget[w]:
+                        for x in adj[w]:
+                            s = spent[x] - 1
+                            spent[x] = s
+                            if not s and pos[x] > i and owner[x] >= 0:
+                                L[owner[x]] += 1
                     budget[w] += 1
-                taken.append(False)
+                stack.append((1, live, excess))
+                # c stays decided, now excluded
+                live -= 1
+                o = owner[c]
+                if o >= 0 and L[o] >= budget[o]:
+                    excess -= 1
                 i += 1
                 break
+            if state == 1 and owner[c] >= 0:
+                L[owner[c]] += 1
         else:
             return best, sorted(best_set)
 

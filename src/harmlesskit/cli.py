@@ -38,10 +38,11 @@ from .reduction import (
     build_reduction,
     construct_clique_solution,
     load_mcc,
+    reduction_selectable_count,
     verify_reduction,
 )
 from .sparsity import LilyFailure, build_waterlily, count_profiles, projection_closure
-from .solvers import brute_force_max, vc_solve
+from .solvers import DEFAULT_BRUTE_CAP, brute_force_max, vc_solve
 
 
 def _option(*flags, **kwargs) -> argparse.ArgumentParser:
@@ -366,6 +367,7 @@ def _cmd_fuzz(args) -> int:
     _check_sizes({"--count": args.count})
     rng = random.Random(args.seed)
     failures: list[str] = []
+    skipped = 0  # cases whose oracle search would exceed the brute-force cap
     count = args.count
     if args.suite == "hereditary":
         for case in range(count):
@@ -402,28 +404,33 @@ def _cmd_fuzz(args) -> int:
             if b != v or not is_harmless(inst, w):
                 failures.append(f"case {case}: vc={v} oracle={b}")
     elif args.suite == "reduction":
+        cap = DEFAULT_BRUTE_CAP if args.brute_cap is None else args.brute_cap
         for case in range(count):
             mcc = random_mcc(rng, rng.choice((2, 3)), rng.choice((1, 2)))
-            out = build_reduction(mcc)
-            if len(out.selectable_vertices()) > 22:
+            if reduction_selectable_count(mcc.k, mcc.n, mcc.m) > cap:
+                skipped += 1
                 continue
-            rep = verify_reduction(mcc, cap=args.brute_cap)
+            out = build_reduction(mcc)
+            rep = verify_reduction(mcc, cap=cap)
             if not rep.ok:
                 failures.append(f"case {case}: reduction check failed: {rep.to_doc()}")
             for clique in mcc.cliques():
                 sol = construct_clique_solution(out, clique)
                 if len(sol) != out.target or not is_harmless(out.instance, sol):
                     failures.append(f"case {case}: clique solution invalid for {clique}")
+        if count and skipped == count:  # a run that checks nothing does not pass
+            raise ResourceLimitError(f"all {count} cases exceed the brute-force cap {cap}")
     result = {
         "suite": args.suite,
         "count": count,
+        "skipped": skipped,
         "failures": failures,
         "passed": not failures,
     }
 
     def render(r):
         status = "all passed" if r["passed"] else f"{len(r['failures'])} FAILURES"
-        return f"fuzz {r['suite']} x{r['count']}: {status}"
+        return f"fuzz {r['suite']} x{r['count']}: {status}, {r['skipped']} skipped"
 
     _emit(args, result, render)
     return 0 if not failures else 2

@@ -135,6 +135,12 @@ def reduction_target_size(k: int, n: int, m: int) -> int:
     return comb(k, 2) * (n - 1) + k * n + m
 
 
+def reduction_selectable_count(k: int, n: int, m: int) -> int:
+    """The selectable (light and dark) vertices of H when no colour pair is
+    missing: 2n per selection gadget and n + 1 per test gadget."""
+    return 2 * k * n + m * (n + 1)
+
+
 @dataclass(frozen=True)
 class VertexRole:
     kind: str  # selection | port | test | apex | global
@@ -466,7 +472,7 @@ def verify_reduction(mcc: MccInstance, *, cap: Optional[int] = None) -> Reductio
     and dark) vertices, 2kn + m(n + 1) of them: checked before H is built.
     """
     if not mcc.missing_pair_count():
-        check_brute_cap(2 * mcc.k * mcc.n + mcc.m * (mcc.n + 1), cap)
+        check_brute_cap(reduction_selectable_count(mcc.k, mcc.n, mcc.m), cap)
     out = build_reduction(mcc)
     optimum, witness = brute_force_max(out.instance, cap=cap)
     cliques = mcc.cliques()

@@ -281,6 +281,17 @@ def test_fuzz_passes_the_brute_cap_to_the_oracle(capsys, suite):
     assert "exceed the brute-force cap 0" in capsys.readouterr().err
 
 
+def test_fuzz_reduction_skips_by_the_brute_cap(capsys):
+    argv = ["fuzz", "--suite", "reduction", "--count", "40", "--seed", "3"]
+    default = run(capsys, *argv)
+    wider = run(capsys, *argv, "--brute-cap", "40")
+    assert default[0] == wider[0] == 0
+    skipped = json.loads(default[1])["result"]["skipped"]
+    assert skipped > json.loads(wider[1])["result"]["skipped"]
+    code, out = run(capsys, *argv, "--format", "text")
+    assert out == f"fuzz reduction x40: all passed, {skipped} skipped\n"
+
+
 def test_bad_input_exits_2(capsys, tmp_path):
     path = tmp_path / "broken.hs"
     path.write_text("p hs 1 0\n")  # missing threshold line
@@ -306,6 +317,22 @@ def test_verify_reduction_refuses_before_building_h(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err == "harmlesskit: error: 500001 selectable vertices exceed the brute-force cap 24\n"
     assert elapsed < 1.0
+
+
+def test_verify_reduction_of_complete_k3_n2(capsys, tmp_path):
+    # every one of the 12 possible edges: H has 2kn + m(n+1) = 48 selectable
+    # vertices and the 2^3 member choices are all cliques
+    pairs = ((1, 2), (1, 3), (2, 3))
+    edges = [f"e {i} {x} {j} {y}" for i, j in pairs for x in (1, 2) for y in (1, 2)]
+    path = tmp_path / "complete.mcc"
+    path.write_text("\n".join(["p mcc 3 2", *edges]) + "\n")
+    code, out = run(capsys, "verify-reduction", "--brute-cap", "48", path)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["equivalence_ok"] and result["forbidden_ok"]
+    assert result["clique_count"] == 8
+    assert result["optimum"] == result["target"] == 21
+    assert len(result["witness"]) == 21
 
 
 MALFORMED_INSTANCE_FILES = {

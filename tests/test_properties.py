@@ -3,7 +3,7 @@
 import random
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harmlesskit import (
@@ -11,6 +11,7 @@ from harmlesskit import (
     Graph,
     Instance,
     MccInstance,
+    build_reduction,
     compute_core,
     is_harmless,
     kernelize,
@@ -225,6 +226,45 @@ def test_edge_grouping_matches_per_pair_scan(mcc):
     assert mcc.missing_pairs() == per_pair_missing_pairs(mcc)
     for i, j in combinations(range(1, mcc.k + 1), 2):
         assert mcc.pair_edges(i, j) == per_pair_edges(mcc, i, j)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(mcc_instances())
+def test_brute_kernel_matches_recursive_reference_on_reductions(mcc):
+    # H's XOR vertices and ports are where the kernel's bound prunes hardest
+    inst = build_reduction(mcc).instance
+    core = compute_core(inst)
+    assume(len(core) <= 22)
+    adj, thresholds = inst.graph.adj, inst.thresholds
+    order = sorted(core, key=lambda v: (-len(adj[v]), v))  # brute_force_max's order
+    assert max_harmless(adj, thresholds, order) == recursive_max_harmless(adj, thresholds, order)
+
+
+@st.composite
+def hub_instances(draw, max_n=16):
+    """Sparse graphs in which up to three hubs hold every other vertex as a
+    leaf, plus a few extra edges, thresholds 1-5.  A hub whose leaves
+    outnumber its budget gives the brute-force bound a non-zero excess."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    hubs = draw(st.integers(min_value=1, max_value=min(3, n - 1)))
+    hub = st.integers(min_value=0, max_value=hubs - 1)
+    edges = {(draw(hub), v) for v in range(hubs, n)}
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=n // 4)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    thresholds = tuple(draw(st.integers(min_value=1, max_value=5)) for _ in range(n))
+    return Instance(Graph.from_edges(n, sorted(edges)), thresholds)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(hub_instances(), st.data())
+def test_brute_kernel_matches_recursive_reference_on_hubs(inst, data):
+    candidates = data.draw(st.permutations(range(inst.n)))
+    adj, thresholds = inst.graph.adj, inst.thresholds
+    assert max_harmless(adj, thresholds, candidates) == recursive_max_harmless(
+        adj, thresholds, candidates
+    )
 
 
 @settings(max_examples=300, derandomize=True)
