@@ -33,11 +33,11 @@ Source = Union[str, Path, IO[str]]
 _SHOWN_MISSING = 5  # missing-threshold ids quoted in an error message
 
 
-def _read_lines(source: Source) -> list[str]:
+def _read_text(source: Source) -> str:
     try:
         if isinstance(source, (str, Path)):
-            return Path(source).read_text().splitlines()
-        return source.read().splitlines()
+            return Path(source).read_text()
+        return source.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: byte {exc.start} cannot be decoded") from None
 
@@ -63,7 +63,7 @@ def load_instance(source: Source) -> Instance:
     edge_seen: set[tuple[int, int]] = set()
     thresholds: dict[int, int] = {}
     k = None
-    for lineno, raw in enumerate(_read_lines(source), start=1):
+    for lineno, raw in enumerate(_read_text(source).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -131,12 +131,9 @@ def load_instance(source: Source) -> Instance:
     return Instance(graph, tuple(thresholds[v] for v in range(n)), k)
 
 
-def save_instance(instance: Instance, target: Source, *, comment: str | None = None) -> None:
+def save_instance(instance: Instance, target: Source) -> None:
     """Write the canonical text form (sorted edges, thresholds in id order)."""
-    out = []
-    if comment:
-        out.append(f"c {comment}")
-    out.append(f"p hs {instance.n} {instance.graph.m}")
+    out = [f"p hs {instance.n} {instance.graph.m}"]
     for u, v in instance.graph.edges():
         out.append(f"e {u + 1} {v + 1}")
     for v, t in enumerate(instance.thresholds):
@@ -185,7 +182,9 @@ def doc_to_instance(doc: dict) -> Instance:
 
 
 def load_instance_json(source: Source) -> Instance:
-    text = "\n".join(_read_lines(source))
+    # the decoded text as it is: splitlines would also split at U+2028,
+    # U+2029 and U+0085, which JSON allows raw inside a string
+    text = _read_text(source)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -24,7 +24,7 @@ from .graph import (
     compute_core,
     is_harmless,
 )
-from .sparsity import LilyFailure, _greedy_scattered, build_waterlily, waterlily_base
+from .sparsity import LilyFailure, _greedy_scattered, build_waterlily
 
 LILY_RADIUS = 2
 LILY_DEPTH = 1
@@ -112,11 +112,9 @@ def _core_reduction(ann: AnnotatedInstance, p: int) -> CoreShrinkOutcome:
         return YesCertificate(scattered)
 
     # (c) waterlily exchange: an oversized uniform signature class has
-    # interchangeable centres, so all but p*|R| of them can leave the core;
-    # the target-independent stages run once for this core state
-    base = waterlily_base(g, K, LILY_RADIUS, LILY_DEPTH)
+    # interchangeable centres, so all but p*|R| of them can leave the core
     for target in _lily_targets(len(K)):
-        lily = build_waterlily(g, K, LILY_RADIUS, LILY_DEPTH, target, base=base)
+        lily = build_waterlily(g, K, LILY_RADIUS, LILY_DEPTH, target)
         if isinstance(lily, LilyFailure):
             continue
         classes: dict[frozenset, list[int]] = {}

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidArgumentError, ParseError
 from .graph import Graph, Instance
-from .io import Source, _read_lines, _write_text
+from .io import Source, _read_text, _write_text
 from .solvers import brute_force_max, check_brute_cap
 
 _SHOWN_PAIRS = 10  # missing colour pairs listed in a report
@@ -473,7 +473,13 @@ def verify_reduction(mcc: MccInstance, *, cap: Optional[int] = None) -> Reductio
     """
     if not mcc.missing_pair_count():
         check_brute_cap(reduction_selectable_count(mcc.k, mcc.n, mcc.m), cap)
-    out = build_reduction(mcc)
+    return check_reduction(build_reduction(mcc), cap=cap)
+
+
+def check_reduction(out: ReductionOutput, *, cap: Optional[int] = None) -> ReductionReport:
+    """``verify_reduction``'s checks on an H already built.  The oracle
+    refuses with ``ResourceLimitError`` when the core of H exceeds ``cap``."""
+    mcc = out.mcc
     optimum, witness = brute_force_max(out.instance, cap=cap)
     cliques = mcc.cliques()
     return ReductionReport(
@@ -496,7 +502,7 @@ def verify_reduction(mcc: MccInstance, *, cap: Optional[int] = None) -> Reductio
 
 def load_mcc(source: Source) -> MccInstance:
     """Parse ``p mcc <k> <n>`` plus ``e <i> <x> <j> <y>`` edge lines."""
-    lines = _read_lines(source)
+    lines = _read_text(source).splitlines()
     k = n = None
     edges: list[tuple[int, int, int, int]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -533,11 +539,8 @@ def load_mcc(source: Source) -> MccInstance:
         raise ParseError(str(exc)) from None
 
 
-def save_mcc(mcc: MccInstance, target: Source, *, comment: str | None = None) -> None:
-    out = []
-    if comment:
-        out.append(f"c {comment}")
-    out.append(f"p mcc {mcc.k} {mcc.n}")
+def save_mcc(mcc: MccInstance, target: Source) -> None:
+    out = [f"p mcc {mcc.k} {mcc.n}"]
     for i, x, j, y in sorted(mcc.edges):
         out.append(f"e {i} {x} {j} {y}")
     _write_text(target, "\n".join(out) + "\n")

@@ -226,23 +226,16 @@ class UqwResult:
     ok: bool
 
 
-def uqw_scattered(
-    g: Graph,
-    A: Iterable[int],
-    r: int,
-    target: int,
-    hub_budget: int = DEFAULT_HUB_BUDGET,
-) -> UqwResult:
+def uqw_scattered(g: Graph, A: Iterable[int], r: int, target: int) -> UqwResult:
     """Find >= target vertices of A that are r-scattered after removing few hubs.
 
     Iterated hub removal: when the greedy scattering stalls short of the
     target, the vertex lying inside the most pick balls (ties: higher degree,
-    then lower id) is removed and the greedy restarts, up to ``hub_budget``
-    removals.  On failure the largest scattered set found is returned.
+    then lower id) is removed and the greedy restarts, up to
+    ``DEFAULT_HUB_BUDGET`` removals.  On failure the largest scattered set
+    found is returned.
     """
     A = g.check_vertex_set(A)
-    if hub_budget < 0:
-        raise InvalidArgumentError(f"hub budget must be >= 0, got {hub_budget}")
     hubs: set[int] = set()
     best: tuple[frozenset[int], frozenset[int]] = (frozenset(), frozenset())
     while True:
@@ -252,7 +245,7 @@ def uqw_scattered(
             best = (removed, frozenset(picks))
         if len(picks) >= target:
             return UqwResult(removed, frozenset(picks), True)
-        if len(hubs) >= hub_budget:
+        if len(hubs) >= DEFAULT_HUB_BUDGET:
             return UqwResult(best[0], best[1], False)
         counts: dict[int, int] = {}
         pick_set = set(picks)
@@ -329,55 +322,39 @@ def verify_waterlily(g: Graph, lily: Waterlily, A: Optional[frozenset[int]] = No
     return problems
 
 
-@dataclass(frozen=True)
-class LilyBase:
-    """The target-independent prefix of a waterlily construction.
+# the last prefix computed, as (graph, (A, r, d, c_close), prefix); the graph
+# is held and compared by identity, so an equal graph, such as the same file
+# loaded again, computes its own prefix
+_last_prefix: Optional[tuple[Graph, tuple, tuple[frozenset[int], tuple[int, ...]]]] = None
 
-    Greedy d-domination of the query set, the (r+d)-projection closure of
-    the dominators and the (r+d)-profile classes of the remainder do not
-    depend on the target, so one base serves every target for the same
-    graph, query set and parameters.  Only the largest class survives.
+
+def _lily_prefix(
+    g: Graph, A: frozenset[int], r: int, d: int, c_close: int
+) -> tuple[frozenset[int], tuple[int, ...]]:
+    """Near roots and members of the largest (r+d)-profile class of what the
+    closure leaves of A; no members when the closure swallows A.
+
+    Greedy d-domination of A, the (r+d)-projection closure of the
+    dominators and the profile classes do not depend on the target, so the
+    result is kept for the next call: the halving targets of one core state
+    compute it once.
     """
-
-    graph: Graph
-    query: frozenset[int]
-    radius: int
-    depth: int
-    c_close: int
-    near_roots: frozenset[int]
-    members: tuple[int, ...]
-
-
-def waterlily_base(
-    g: Graph,
-    A: Iterable[int],
-    r: int,
-    d: int,
-    c_close: int = DEFAULT_CLOSURE_BOUND,
-) -> LilyBase | LilyFailure:
-    """Run the target-independent stages of ``build_waterlily`` once.
-
-    Fails at the ``query-set`` or ``closure`` stage exactly where
-    ``build_waterlily`` would; the closed set is validated once for the
-    whole profile-class loop.
-    """
-    if d > r:
-        raise InvalidArgumentError(f"depth {d} exceeds radius {r}")
-    A = g.check_vertex_set(A)
-    if not A:
-        return LilyFailure("query-set", "the query set is empty")
-
-    dominators = greedy_dominating(g, A, d)
+    global _last_prefix
+    key = (A, r, d, c_close)
+    last = _last_prefix
+    if last is not None and last[0] is g and last[1] == key:
+        return last[2]
+    dominators = greedy_dominating(g, g.check_vertex_set(A), d)
     closed = projection_closure(g, dominators, r + d, c_close)
-    remainder = A - closed
-    if not remainder:
-        return LilyFailure("closure", "the projection closure swallowed the whole query set")
-
     classes: dict[tuple, list[int]] = {}
-    for a in sorted(remainder):
+    for a in sorted(A - closed):
         classes.setdefault(_finite_profile(g, closed, a, r + d), []).append(a)
-    key, members = max(classes.items(), key=lambda kv: (len(kv[1]), -kv[1][0]))
-    return LilyBase(g, A, r, d, c_close, frozenset(v for v, _ in key), tuple(members))
+    profile, members = max(
+        classes.items(), key=lambda kv: (len(kv[1]), -kv[1][0]), default=((), [])
+    )
+    prefix = (frozenset(v for v, _ in profile), tuple(members))
+    _last_prefix = (g, key, prefix)
+    return prefix
 
 
 def build_waterlily(
@@ -388,7 +365,6 @@ def build_waterlily(
     target: int,
     *,
     c_close: int = DEFAULT_CLOSURE_BOUND,
-    base: LilyBase | LilyFailure | None = None,
 ) -> Waterlily | LilyFailure:
     """Construct a uniform waterlily with >= target centres inside A, or fail.
 
@@ -399,29 +375,21 @@ def build_waterlily(
     invariant by invariant before being returned; any shortfall yields a
     ``LilyFailure`` naming the stage.
 
-    The stages up to the profile classes are target-independent.  A caller
-    trying several targets computes them once with ``waterlily_base`` and
-    passes the outcome as ``base``; the result is then the same as without
-    it, a failing base is returned as this target's failure, and every
-    returned waterlily is still verified.  A base built for another graph,
-    query set or parameters is rejected.
+    The stages up to the profile classes do not depend on the target; a
+    call with the same graph object, query set and parameters as the one
+    before reuses them.
     """
     if d > r:
         raise InvalidArgumentError(f"depth {d} exceeds radius {r}")
     if target < 1:
         raise InvalidArgumentError(f"target must be >= 1, got {target}")
-    if base is None:
-        base = waterlily_base(g, A, r, d, c_close)
-    elif isinstance(base, LilyBase) and (
-        (base.radius, base.depth, base.c_close) != (r, d, c_close)
-        or base.graph != g
-        or base.query != frozenset(A)
-    ):
-        raise InvalidArgumentError("the waterlily base was built for other inputs")
-    if isinstance(base, LilyFailure):
-        return base
+    A = frozenset(A)
+    if not A:
+        return LilyFailure("query-set", "the query set is empty")
+    near_roots, members = _lily_prefix(g, A, r, d, c_close)
+    if not members:
+        return LilyFailure("closure", "the projection closure swallowed the whole query set")
 
-    members = base.members
     if len(members) < target:
         return LilyFailure(
             "profile-class",
@@ -434,7 +402,7 @@ def build_waterlily(
             "scattering",
             f"hub removal reached {len(uqw.scattered)} scattered vertices, need {target}",
         )
-    roots = uqw.hubs | base.near_roots
+    roots = uqw.hubs | near_roots
     if not roots:
         return LilyFailure("roots", "construction produced an empty root set")
 
@@ -460,7 +428,7 @@ def build_waterlily(
         )
 
     lily = Waterlily(frozenset(roots), frozenset(centres), r, d)
-    problems = verify_waterlily(g, lily, base.query)
+    problems = verify_waterlily(g, lily, A)
     if problems:
         return LilyFailure("verification", "; ".join(problems))
     return lily

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import harmlesskit
-from harmlesskit import Instance
+from harmlesskit import Instance, cli, compute_core, reduction
 from harmlesskit.cli import main
 from harmlesskit.generators import grid_graph
 from harmlesskit.io import load_instance, save_instance
+from harmlesskit.solvers import DEFAULT_BRUTE_CAP
 from harmlesskit.sparsity import build_waterlily
 
 from cases import deep_packing_instance
@@ -71,6 +72,17 @@ def test_solve_accepts_json_instances(capsys, tmp_path):
     doc = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "thresholds": [2, 2, 2], "k": 1}
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(doc))
+    code, out = run(capsys, "solve", path)
+    assert code == 0
+    assert json.loads(out)["result"]["optimum"] == 1
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_solve_accepts_line_separators_inside_json_strings(capsys, tmp_path, separator):
+    # JSON allows these raw inside a string, though str.splitlines splits at them
+    doc = {"n": 1, "edges": [], "thresholds": [1], "note": f"a{separator}b"}
+    path = tmp_path / "note.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
     code, out = run(capsys, "solve", path)
     assert code == 0
     assert json.loads(out)["result"]["optimum"] == 1
@@ -290,6 +302,26 @@ def test_fuzz_reduction_skips_by_the_brute_cap(capsys):
     assert skipped > json.loads(wider[1])["result"]["skipped"]
     code, out = run(capsys, *argv, "--format", "text")
     assert out == f"fuzz reduction x40: all passed, {skipped} skipped\n"
+
+
+def test_fuzz_reduction_builds_h_once_per_case(capsys, monkeypatch):
+    # every case is built once, few reduce to the degenerate NO-instance, and
+    # a case is skipped only when the oracle refuses H's core
+    built = []
+    real = reduction.build_reduction
+
+    def counted(mcc):
+        built.append(real(mcc))
+        return built[-1]
+
+    monkeypatch.setattr(reduction, "build_reduction", counted)
+    monkeypatch.setattr(cli, "build_reduction", counted)
+    code, out = run(capsys, "fuzz", "--suite", "reduction", "--count", "200", "--seed", "0")
+    assert code == 0
+    assert len(built) == 200
+    assert sum(h.degenerate for h in built) <= 40
+    refused = sum(len(compute_core(h.instance)) > DEFAULT_BRUTE_CAP for h in built)
+    assert json.loads(out)["result"]["skipped"] == refused <= 45
 
 
 def test_bad_input_exits_2(capsys, tmp_path):

@@ -23,6 +23,7 @@ from harmlesskit import (
     signature,
     to_plain_kernel,
 )
+from harmlesskit import sparsity
 from harmlesskit.generators import random_instance
 from harmlesskit.io import doc_to_instance, dumps, instance_to_doc
 from harmlesskit.kernelize import kernel_decision
@@ -349,3 +350,25 @@ def test_kernelize_report_matches_golden(case):
         "kernel": instance_to_doc(ann.instance, roles={"core": sorted(ann.core)}),
     }
     assert dumps(result) == dumps(case["result"])
+
+
+def test_halving_targets_share_one_waterlily_prefix(monkeypatch):
+    # two core states on the golden threshold-2 star: the prefix is computed
+    # once per state, not once per halving target
+    module = importlib.import_module("harmlesskit.kernelize")
+    counts = {"greedy_dominating": 0, "build_waterlily": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(sparsity, "greedy_dominating")
+    counted(module, "build_waterlily")
+    case = next(c for c in GOLDEN["cases"] if c["name"] == "star7-tail-k2")
+    kernelize(doc_to_instance(case["instance"]))
+    assert counts == {"greedy_dominating": 2, "build_waterlily": 5}

@@ -17,9 +17,10 @@ from harmlesskit import (
     uqw_scattered,
     verify_waterlily,
 )
+from harmlesskit import sparsity
 from harmlesskit.generators import bounded_degree_graph, grid_graph
 from harmlesskit.graph import bfs_distances
-from harmlesskit.sparsity import LilyFailure, waterlily_base
+from harmlesskit.sparsity import LilyFailure
 
 from oracles import check_waterlily, naive_bfs, naive_min_domination_size
 
@@ -205,7 +206,7 @@ def test_uqw_isolated_vertices():
 
 def test_uqw_star_hub_removal():
     g = star(7)
-    res = uqw_scattered(g, range(1, 8), 2, 7, hub_budget=1)
+    res = uqw_scattered(g, range(1, 8), 2, 7)
     assert res.ok
     assert res.hubs == {0}
     assert res.scattered == frozenset(range(1, 8))
@@ -244,22 +245,22 @@ def test_waterlily_depth_above_radius_rejected():
         build_waterlily(star(3), {1}, 1, 2, 1)
 
 
-def test_waterlily_base_serves_every_target_and_rejects_other_inputs():
+def test_waterlily_prefix_is_kept_per_graph_object(monkeypatch):
+    calls = []
+    real = sparsity.greedy_dominating
+    monkeypatch.setattr(sparsity, "greedy_dominating", lambda *a: calls.append(a) or real(*a))
     g = star(6)
     leaves = frozenset(range(1, 7))
-    base = waterlily_base(g, leaves, 2, 1)
-    assert build_waterlily(g, leaves, 2, 1, 6, base=base) == build_waterlily(g, leaves, 2, 1, 6)
-    failed = waterlily_base(g, frozenset(), 2, 1)
-    assert build_waterlily(g, frozenset(), 2, 1, 3, base=failed) == failed
-    for other in (
-        dict(g=star(7), A=leaves, r=2, d=1),
-        dict(g=g, A=leaves - {1}, r=2, d=1),
-        dict(g=g, A=leaves, r=2, d=2),
-    ):
-        with pytest.raises(InvalidArgumentError):
-            build_waterlily(other["g"], other["A"], other["r"], other["d"], 1, base=base)
-    with pytest.raises(InvalidArgumentError):
-        build_waterlily(g, leaves, 2, 1, 1, c_close=5, base=base)
+    first = build_waterlily(g, leaves, 2, 1, 6)
+    assert build_waterlily(g, leaves, 2, 1, 3) == first
+    assert len(calls) == 1  # the second target reuses the prefix
+    # an equal graph that is another object computes its own prefix
+    assert build_waterlily(Graph(g.n, g.adj), leaves, 2, 1, 6) == first
+    assert len(calls) == 2
+    # so does the same graph with another query set or parameters
+    build_waterlily(g, leaves - {1}, 2, 1, 1)
+    build_waterlily(g, leaves - {1}, 2, 1, 1, c_close=5)
+    assert len(calls) == 4
 
 
 def test_waterlily_multi_star_hits_distinct_stars():
