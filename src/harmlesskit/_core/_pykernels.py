@@ -227,32 +227,29 @@ def vc_scan(
 
     Depth-first walk without recursion, one level per cover bit, deciding
     bit nx-1 first and taking the 0-branch before the 1-branch, so guesses
-    come in ascending order.  The residual budgets of the cover vertices and
-    classes are updated as bits are set and restored on backtrack.  A
-    1-branch is entered only while every budget it touches stays
-    non-negative: harmlessness is closed under taking subsets, so a refused
-    branch holds no harmless guess.  Subtrees whose masks miss the range are
-    skipped.
+    come in ascending order.  Cover vertex i has budget row i and class j
+    row nx + j: a class limits a guess exactly as one more cover vertex
+    would.  The residual budgets are updated as bits are set and restored on
+    backtrack.  A 1-branch is entered only while every budget it touches
+    stays non-negative: harmlessness is closed under taking subsets, so a
+    refused branch holds no harmless guess.  Subtrees whose masks miss the
+    range are skipped.
     """
     nx = len(x_rows)
     nclasses = len(class_rows)
     lo = max(mask_lo, 0)
     hi = min(mask_hi, 1 << nx)
-    # caps[i] / room[j]: how many more guessed neighbours (roots) cover
-    # vertex i (class j) takes; a negative value means no guess is harmless
-    caps = [t - 1 for t in x_thresh]
-    room = [t - 1 for t in class_min_t]
-    if lo >= hi or min(caps, default=0) < 0 or min(room, default=0) < 0:
+    # caps[r]: how many more guessed neighbours (roots) budget row r takes;
+    # a negative value means no guess is harmless.  max_packing reads only
+    # the cover rows, positions below nx.
+    caps = [t - 1 for t in x_thresh] + [t - 1 for t in class_min_t]
+    if lo >= hi or min(caps, default=0) < 0:
         return best_total, best_mask
-    # bit b of a guess uses up budget of these cover vertices and classes
-    x_hit = [[] for _ in range(nx)]
-    for i, row in enumerate(x_rows):
+    # bit b of a guess uses up budget of these rows
+    hit = [[] for _ in range(nx)]
+    for r, row in enumerate([*x_rows, *class_rows]):
         for b in row:
-            x_hit[b].append(i)
-    c_hit = [[] for _ in range(nx)]
-    for j, row in enumerate(class_rows):
-        for b in row:
-            c_hit[b].append(j)
+            hit[b].append(r)
 
     mask = 0
     taken: list[int] = []  # set bits of mask, highest first
@@ -291,15 +288,11 @@ def vc_scan(
             while taken and taken[-1] < b:
                 u = taken.pop()
                 mask ^= 1 << u
-                for i in x_hit[u]:
-                    caps[i] += 1
-                for j in c_hit[u]:
-                    room[j] += 1
-            if all(caps[i] > 0 for i in x_hit[b]) and all(room[j] > 0 for j in c_hit[b]):
+                for r in hit[u]:
+                    caps[r] += 1
+            if all(caps[r] > 0 for r in hit[b]):
                 break
         mask |= 1 << b
         taken.append(b)
-        for i in x_hit[b]:
-            caps[i] -= 1
-        for j in c_hit[b]:
-            room[j] -= 1
+        for r in hit[b]:
+            caps[r] -= 1

@@ -42,7 +42,13 @@ from .reduction import (
     load_mcc,
     verify_reduction,
 )
-from .sparsity import LilyFailure, build_waterlily, count_profiles, projection_closure
+from .sparsity import (
+    DEFAULT_CLOSURE_BOUND,
+    LilyFailure,
+    build_waterlily,
+    count_profiles,
+    projection_closure,
+)
 from .solvers import DEFAULT_BRUTE_CAP, brute_force_max, vc_solve
 
 
@@ -84,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernelize", parents=[common, timing], help="run the reduction-rule pipeline")
     p.add_argument("input")
     p.add_argument("-p", "--max-threshold", type=int, default=None)
-    p.add_argument("--kernel-out", help="write the kernel instance to this path")
+    p.add_argument("--kernel-out", help="write the plain kernel to this path (needs --plain)")
     p.add_argument(
         "--plain",
         action="store_true",
@@ -110,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--x-ids", help="comma-separated 1-based target vertices")
     p.add_argument("--x-size", type=int, default=None, help="sample a random target set")
-    p.add_argument("--closure-bound", type=int, default=4)
+    p.add_argument("--closure-bound", type=int, default=DEFAULT_CLOSURE_BOUND)
     p.add_argument("--lily-radius", type=int, default=None)
     p.add_argument("--lily-depth", type=int, default=None)
     p.add_argument("--lily-target", type=int, default=None)
@@ -159,6 +165,8 @@ def _maybe_time(args, fn):
 
 def _cmd_solve(args) -> int:
     instance = load_any_instance(args.input)
+    if args.decide and instance.k is None:
+        raise InvalidArgumentError("--decide needs a target size k in the instance")
     solver = brute_force_max if args.method == "brute" else vc_solve
     if args.method == "brute":
         kwargs = {"cap": args.brute_cap}
@@ -190,6 +198,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_kernelize(args) -> int:
+    # the annotated kernel needs its core, which a kernel file cannot carry:
+    # solved as a file, it would optimise over every vertex
+    if args.kernel_out and not args.plain:
+        raise InvalidArgumentError("--kernel-out writes the plain kernel only: add --plain")
     instance = load_any_instance(args.input)
     (ann, report), ms = _maybe_time(
         args, lambda: kernelize(instance, args.max_threshold)
@@ -210,7 +222,7 @@ def _cmd_kernelize(args) -> int:
     if args.kernel_out:
         out = Path(args.kernel_out)
         if out.suffix == ".json":
-            save_instance_json(kernel_instance, out, roles=kernel_doc.get("roles"))
+            save_instance_json(kernel_instance, out)
         else:
             save_instance(kernel_instance, out)
 
@@ -312,6 +324,10 @@ def _cmd_stats(args) -> int:
         "--lily-radius": args.lily_radius,
         "--lily-depth": args.lily_depth,
     })
+    if args.lily_radius is None:
+        for option, value in (("--lily-depth", args.lily_depth), ("--lily-target", args.lily_target)):
+            if value is not None:
+                raise InvalidArgumentError(f"{option} needs --lily-radius")
     instance = load_any_instance(args.input)
     g = instance.graph
     rng = random.Random(args.seed)
@@ -421,7 +437,7 @@ def _cmd_fuzz(args) -> int:
                 continue
             if not rep.ok:
                 failures.append(f"case {case}: reduction check failed: {rep.to_doc()}")
-            for clique in mcc.cliques():
+            for clique in rep.cliques:
                 sol = construct_clique_solution(out, clique)
                 if len(sol) != out.target or not is_harmless(out.instance, sol):
                     failures.append(f"case {case}: clique solution invalid for {clique}")

@@ -8,7 +8,7 @@ Two serialisations are supported:
       p hs <n> <m>
       e <u> <v>          (m lines)
       t <v> <threshold>  (n lines, one per vertex)
-      k <k>              (optional)
+      k <k>              (optional, at most once)
 
 * a JSON document with 0-based ids and fields ``n``, ``edges``,
   ``thresholds``, ``k`` and optional ``roles`` annotations.
@@ -111,6 +111,8 @@ def load_instance(source: Source) -> Instance:
         elif tag == "k":
             if len(parts) != 2:
                 raise ParseError(f"malformed target line {line!r}", lineno)
+            if k is not None:
+                raise ParseError("duplicate target line", lineno)
             k = _int(parts[1], "target size", lineno)
             if k < 0:
                 raise ParseError("target size k must be non-negative", lineno)

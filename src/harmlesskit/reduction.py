@@ -267,8 +267,6 @@ def build_reduction(mcc: MccInstance) -> ReductionOutput:
         ids[key] = v
         return v
 
-    forbidden: list[int] = []
-
     for i in range(1, k + 1):
         for s in range(1, n + 1):
             add(VertexRole("selection", (i,), "light", (s,)), 1, "sel-light", i, s)
@@ -278,15 +276,10 @@ def build_reduction(mcc: MccInstance) -> ReductionOutput:
             x = add(VertexRole("selection", (i,), "xor", (s,)), 2, "sel-xor", i, s)
             edges.append((x, ids["sel-light", i, s]))
             edges.append((x, ids["sel-dark", i, s]))
-            forbidden.append(x)
 
-    ports: list[int] = []
-    apexes: list[int] = []
     for i, j in combinations(range(1, k + 1), 2):
         for sign, col in (("+", i), ("-", i), ("+", j), ("-", j)):
             pv = add(VertexRole("port", (i, j), "port", (sign, col)), n + 1, "port", i, j, sign, col)
-            ports.append(pv)
-            forbidden.append(pv)
             kind = "sel-light" if sign == "+" else "sel-dark"
             for s in range(1, n + 1):
                 edges.append((pv, ids[kind, col, s]))
@@ -298,7 +291,6 @@ def build_reduction(mcc: MccInstance) -> ReductionOutput:
                 xv = add(VertexRole("test", (i, j, x, y), "xor", (s,)), 2, "test-xor", i, j, x, y, s)
                 edges.append((xv, ids["test-light", i, j, x, y, s]))
                 edges.append((xv, dark))
-                forbidden.append(xv)
             # the port facing colour i meets the first n-x lights, its twin
             # the remaining x; symmetrically for colour j with y
             for col, sel in ((i, x), (j, y)):
@@ -306,21 +298,22 @@ def build_reduction(mcc: MccInstance) -> ReductionOutput:
                     sign = "+" if s <= n - sel else "-"
                     edges.append((ids["port", i, j, sign, col], ids["test-light", i, j, x, y, s]))
         apex = add(VertexRole("apex", (i, j), "apex", ()), n + 1, "apex", i, j)
-        apexes.append(apex)
-        forbidden.append(apex)
         for x, y in mcc.pair_edges(i, j):
             for s in range(1, n + 1):
                 edges.append((apex, ids["test-light", i, j, x, y, s]))
 
+    # a_F guards every XOR vertex, port and apex; the modulator is the
+    # ports and apexes in id order, then a_F
     a_f = add(VertexRole("global", (), "forbidden", ("a",)), 1, "a_F")
     b_f = add(VertexRole("global", (), "forbidden", ("b",)), 1, "b_F")
-    for v in forbidden:
-        edges.append((a_f, v))
+    for v, r in enumerate(roles):
+        if r.role in ("xor", "port", "apex"):
+            edges.append((a_f, v))
     edges.append((a_f, b_f))
 
     target = reduction_target_size(k, n, mcc.m)
     inst = Instance(Graph.from_edges(len(roles), edges), tuple(thresholds), target)
-    modulator = tuple(sorted(ports + apexes + [a_f]))
+    modulator = tuple(v for v, r in enumerate(roles) if r.role in ("port", "apex")) + (a_f,)
     return ReductionOutput(
         instance=inst,
         roles=tuple(roles),
@@ -434,11 +427,15 @@ class ReductionReport:
     m: int
     target: int
     degenerate: bool
-    clique_count: int
+    cliques: tuple[tuple[int, ...], ...]  # as MccInstance.cliques lists them
     optimum: int
     witness: tuple[int, ...]
     equivalence_ok: bool
     forbidden_ok: bool
+
+    @property
+    def clique_count(self) -> int:
+        return len(self.cliques)
 
     @property
     def clique_exists(self) -> bool:
@@ -481,14 +478,14 @@ def check_reduction(out: ReductionOutput, *, cap: Optional[int] = None) -> Reduc
     refuses with ``ResourceLimitError`` when the core of H exceeds ``cap``."""
     mcc = out.mcc
     optimum, witness = brute_force_max(out.instance, cap=cap)
-    cliques = mcc.cliques()
+    cliques = tuple(mcc.cliques())
     return ReductionReport(
         k=mcc.k,
         n=mcc.n,
         m=mcc.m,
         target=out.target,
         degenerate=out.degenerate,
-        clique_count=len(cliques),
+        cliques=cliques,
         optimum=optimum,
         witness=tuple(sorted(witness)),
         equivalence_ok=(optimum >= out.target) == bool(cliques),

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,9 +11,9 @@ import pytest
 import harmlesskit
 from harmlesskit import Instance, cli, compute_core, reduction
 from harmlesskit.cli import main
-from harmlesskit.generators import grid_graph
+from harmlesskit.generators import grid_graph, random_instance
 from harmlesskit.io import load_instance, save_instance
-from harmlesskit.solvers import DEFAULT_BRUTE_CAP
+from harmlesskit.solvers import DEFAULT_BRUTE_CAP, brute_force_max
 from harmlesskit.sparsity import build_waterlily
 
 from cases import deep_packing_instance
@@ -127,22 +128,69 @@ def test_kernelize_no_instance_exits_1(capsys, tmp_path):
 
 def test_kernelize_writes_kernel(capsys, triangle, tmp_path):
     # the triangle with k=1 resolves to an early YES: the emitted kernel is
-    # the canonical constant-size YES instance
+    # the canonical constant-size YES instance, which holds only the two guards
     out_path = tmp_path / "kernel.hs"
-    code, out = run(capsys, "kernelize", triangle, "--kernel-out", out_path)
+    code, out = run(capsys, "kernelize", triangle, "--plain", "--kernel-out", out_path)
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["decision"] == "yes"
     kernel = load_instance(out_path)
-    assert (kernel.n, kernel.k) == (0, 0)
+    assert (kernel.n, kernel.k) == (2, 0)
 
-    # a NO instance passes through as a real (annotated) kernel
+    # a NO instance passes through as a real kernel
     no_path = tmp_path / "no.hs"
     no_path.write_text(NO_CORE_TEXT)
-    code, out = run(capsys, "kernelize", no_path, "--kernel-out", tmp_path / "k2.hs")
+    code, out = run(capsys, "kernelize", no_path, "--plain", "--kernel-out", tmp_path / "k2.hs")
     assert code == 1
     kernel = load_instance(tmp_path / "k2.hs")
     assert kernel.k == 1 and kernel.n >= 1
+
+
+# optimum 2 < k: kernelize answers NO, while its annotated kernel, solved
+# without the core, reaches 3
+CORE_BOUND_TEXT = """\
+p hs 6 4
+e 1 3
+e 1 4
+e 1 6
+e 3 4
+t 1 1
+t 2 1
+t 3 1
+t 4 1
+t 5 1
+t 6 1
+k 3
+"""
+
+
+@pytest.mark.parametrize("suffix", [".hs", ".json"])
+def test_kernel_out_needs_plain(capsys, tmp_path, suffix):
+    path = tmp_path / "in.hs"
+    path.write_text(CORE_BOUND_TEXT)
+    kernel_path = tmp_path / f"kernel{suffix}"
+    assert main(["kernelize", str(path), "--kernel-out", str(kernel_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("harmlesskit: error: ") and err.count("\n") == 1
+    assert "--plain" in err and not kernel_path.exists()
+
+    code, out = run(capsys, "kernelize", path, "--plain", "--kernel-out", kernel_path)
+    assert (code, json.loads(out)["result"]["decision"]) == (1, "no")
+    code, out = run(capsys, "solve", "--decide", kernel_path)
+    assert (code, json.loads(out)["result"]["optimum"]) == (1, 2)
+
+
+def test_plain_kernel_files_keep_the_decision(capsys, tmp_path):
+    rng = random.Random(11)
+    for case in range(100):
+        n = rng.randint(1, 9)
+        inst = random_instance(rng, n, t_max=rng.randint(1, 3), k=rng.randint(0, n))
+        path = tmp_path / f"in{case}.hs"
+        save_instance(inst, path)
+        kernel_path = tmp_path / f"kernel{case}{('.hs', '.json')[case % 2]}"
+        run(capsys, "kernelize", path, "--plain", "--kernel-out", kernel_path)
+        want = brute_force_max(inst)[0] >= inst.k
+        assert run(capsys, "solve", "--decide", kernel_path)[0] == (0 if want else 1), case
 
 
 def test_reduce_and_verify_round_trip(capsys, tmp_path):
@@ -197,6 +245,24 @@ def test_main_reuses_its_parser_without_carrying_options(capsys, triangle):
     code, out = run(capsys, "solve", triangle)
     assert code == 0
     assert json.loads(out)["config"]["brute_cap"] is None
+
+
+def test_solve_decide_without_k_exits_2(capsys, tmp_path):
+    path = tmp_path / "no-k.hs"
+    path.write_text(NO_CORE_TEXT.replace("k 1\n", ""))
+    assert main(["solve", "--decide", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("harmlesskit: error: ") and err.count("\n") == 1
+    assert "--decide" in err
+    assert run(capsys, "solve", path)[0] == 0
+
+
+@pytest.mark.parametrize("option", ["--lily-depth", "--lily-target"])
+def test_stats_lily_option_without_radius_exits_2(capsys, triangle, option):
+    assert main(["stats", str(triangle), option, "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("harmlesskit: error: ") and err.count("\n") == 1
+    assert f"{option} needs --lily-radius" in err
 
 
 def test_stats_reports_profiles(capsys, triangle):
@@ -322,6 +388,21 @@ def test_fuzz_reduction_builds_h_once_per_case(capsys, monkeypatch):
     assert sum(h.degenerate for h in built) <= 40
     refused = sum(len(compute_core(h.instance)) > DEFAULT_BRUTE_CAP for h in built)
     assert json.loads(out)["result"]["skipped"] == refused <= 45
+
+
+def test_fuzz_reduction_finds_each_cases_cliques_once(capsys, monkeypatch):
+    calls = []
+    real = reduction.MccInstance.cliques
+
+    def counted(mcc):
+        calls.append(mcc)
+        return real(mcc)
+
+    monkeypatch.setattr(reduction.MccInstance, "cliques", counted)
+    code, out = run(capsys, "fuzz", "--suite", "reduction", "--count", "200", "--seed", "0")
+    assert code == 0
+    checked = 200 - json.loads(out)["result"]["skipped"]
+    assert len(calls) == checked == 159
 
 
 def test_bad_input_exits_2(capsys, tmp_path):

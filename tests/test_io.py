@@ -48,6 +48,7 @@ def test_missing_threshold_is_an_error():
         ("p hs 2 2\ne 1 2\ne 2 1\nt 1 1\nt 2 1\n", "duplicate edge"),
         ("p hs 2 1\ne 1 2\nt 1 0\nt 2 1\n", ">= 1"),
         ("p hs 2 1\ne 1 2\nt 1 1\nt 1 2\nt 2 1\n", "duplicate threshold"),
+        ("p hs 2 0\nt 1 2\nt 2 2\nk 1\nk 5\n", "duplicate target line"),
         ("e 1 2\n", "before the problem header"),
         ("p hs 2 0\nt 1 1\nt 2 1\nz 3\n", "unknown line tag"),
         ("p hs 2 2\ne 1 2\nt 1 1\nt 2 1\n", "declares 2 edges"),
