@@ -200,17 +200,7 @@ def max_packing(class_size, rows, caps):
         i += 1
 
 
-def vc_scan(
-    x_rows,
-    x_thresh,
-    class_rows,
-    class_size,
-    class_min_t,
-    mask_lo,
-    mask_hi,
-    best_total=-1,
-    best_mask=0,
-):
+def vc_scan(x_rows, x_thresh, class_rows, class_size, class_min_t, mask_lo, mask_hi):
     """Walk the harmless cover guesses ``mask_lo <= S < mask_hi`` and fold
     the best total.
 
@@ -222,8 +212,9 @@ def vc_scan(
     neighbourhood classes is solved exactly.  Returns
     ``(best_total, best_mask)``: the largest total, ties favouring the
     smaller mask (guesses are visited in ascending order and improvement is
-    strict).  Only masks in ``[0, 2**len(x_rows))`` are guesses; the range
-    is clipped to it.
+    strict), or ``(-1, 0)`` when the range holds no harmless guess.  Only
+    masks in ``[0, 2**len(x_rows))`` are guesses; the range is clipped to
+    it.
 
     Depth-first walk without recursion, one level per cover bit, deciding
     bit nx-1 first and taking the 0-branch before the 1-branch, so guesses
@@ -243,6 +234,7 @@ def vc_scan(
     # a negative value means no guess is harmless.  max_packing reads only
     # the cover rows, positions below nx.
     caps = [t - 1 for t in x_thresh] + [t - 1 for t in class_min_t]
+    best_total, best_mask = -1, 0
     if lo >= hi or min(caps, default=0) < 0:
         return best_total, best_mask
     # bit b of a guess uses up budget of these rows

@@ -49,7 +49,7 @@ from .sparsity import (
     count_profiles,
     projection_closure,
 )
-from .solvers import DEFAULT_BRUTE_CAP, brute_force_max, vc_solve
+from .solvers import DEFAULT_BRUTE_CAP, brute_force_max, decide, vc_solve
 
 
 def _option(*flags, **kwargs) -> argparse.ArgumentParser:
@@ -382,6 +382,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     _check_sizes({"--count": args.count})
+    if not args.count:  # a run that checks nothing does not pass
+        raise InvalidArgumentError("--count 0 checks no case")
     rng = random.Random(args.seed)
     failures: list[str] = []
     skipped = 0  # cases whose oracle search would exceed the brute-force cap
@@ -398,13 +400,10 @@ def _cmd_fuzz(args) -> int:
             elif not S <= compute_core(inst):
                 failures.append(f"case {case}: harmless set escapes the core")
     elif args.suite == "kernel":
-        from .kernelize import kernelize as _kern
-        from .solvers import decide
-
         for case in range(count):
             n = rng.randint(1, 9)
             inst = random_instance(rng, n, k=rng.randint(0, n))
-            ann, rep = _kern(inst)
+            ann, rep = kernelize(inst)
             want = decide(inst, cap=args.brute_cap)
             got = (
                 rep.outcome == "yes"
@@ -441,7 +440,7 @@ def _cmd_fuzz(args) -> int:
                 sol = construct_clique_solution(out, clique)
                 if len(sol) != out.target or not is_harmless(out.instance, sol):
                     failures.append(f"case {case}: clique solution invalid for {clique}")
-        if count and skipped == count:  # a run that checks nothing does not pass
+        if skipped == count:  # a run that checks nothing does not pass
             raise ResourceLimitError(f"all {count} cases exceed the brute-force cap {cap}")
     result = {
         "suite": args.suite,

@@ -24,7 +24,7 @@ from .graph import (
     compute_core,
     is_harmless,
 )
-from .sparsity import LilyFailure, _greedy_scattered, build_waterlily
+from .sparsity import LilyFailure, _greedy_scattered, _largest_class, build_waterlily
 
 LILY_RADIUS = 2
 LILY_DEPTH = 1
@@ -117,10 +117,7 @@ def _core_reduction(ann: AnnotatedInstance, p: int) -> CoreShrinkOutcome:
         lily = build_waterlily(g, K, LILY_RADIUS, LILY_DEPTH, target)
         if isinstance(lily, LilyFailure):
             continue
-        classes: dict[frozenset, list[int]] = {}
-        for c in sorted(lily.centres):
-            classes.setdefault(_signature(g, t, lily.roots, c), []).append(c)
-        members = max(classes.values(), key=lambda vs: (len(vs), -vs[0]))
+        _, members = _largest_class(lily.centres, lambda c: _signature(g, t, lily.roots, c))
         keep = p * len(lily.roots)
         if len(members) > keep:
             return RemoveVertices(tuple(members[: len(members) - keep]), "core-exchange")

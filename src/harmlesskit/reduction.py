@@ -21,12 +21,15 @@ from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Iterator, Optional
 
-from .errors import InvalidArgumentError, ParseError
-from .graph import Graph, Instance
+from .errors import InvalidArgumentError, ParseError, ResourceLimitError
+from .graph import Graph, Instance, bfs_distances
 from .io import Source, _read_text, _write_text
 from .solvers import brute_force_max, check_brute_cap
 
 _SHOWN_PAIRS = 10  # missing colour pairs listed in a report
+# Most vertices build_reduction gives H: the header's n alone sets H's size,
+# so a two-line file could otherwise ask for any amount of memory.
+MAX_REDUCTION_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,13 @@ def reduction_selectable_count(k: int, n: int, m: int) -> int:
     return 2 * k * n + m * (n + 1)
 
 
+def reduction_vertex_count(k: int, n: int, m: int) -> int:
+    """The vertices of H when no colour pair is missing: 3n per selection
+    gadget, four ports and an apex per colour pair, 2n + 1 per test gadget
+    and the global forbidden pair."""
+    return 3 * k * n + 5 * comb(k, 2) + m * (2 * n + 1) + 2
+
+
 @dataclass(frozen=True)
 class VertexRole:
     kind: str  # selection | port | test | apex | global
@@ -249,12 +259,18 @@ def build_reduction(mcc: MccInstance) -> ReductionOutput:
 
     Vertex order is deterministic (selection gadgets, then per colour pair
     the ports, test gadgets and apex, then the global forbidden pair), so
-    outputs are byte-reproducible.
+    outputs are byte-reproducible.  An H of more than
+    ``MAX_REDUCTION_VERTICES`` vertices is refused before it is built.
     """
     if mcc.missing_pair_count():
         return _degenerate_output(mcc)
 
     k, n = mcc.k, mcc.n
+    size = reduction_vertex_count(k, n, mcc.m)
+    if size > MAX_REDUCTION_VERTICES:
+        raise ResourceLimitError(
+            f"the reduction would build {size} vertices, above the limit {MAX_REDUCTION_VERTICES}"
+        )
     ids: dict = {}
     roles: list[VertexRole] = []
     thresholds: list[int] = []
@@ -371,51 +387,30 @@ def is_2_spider_forest(g: Graph) -> bool:
     """Every component is a star with edges subdivided at most once.
 
     Equivalently each component is a tree admitting a centre such that all
-    vertices lie within distance two, distance-two vertices are leaves, and
-    distance-one vertices have degree at most two.
+    vertices lie within distance two and distance-one vertices have degree
+    at most two.  Distance-two vertices are then leaves: in a tree, a second
+    neighbour of one would lie at distance three.
     """
     seen = [False] * g.n
     for start in range(g.n):
         if seen[start]:
             continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
+        comp = bfs_distances(g, start)
+        for u in comp:
+            seen[u] = True
         edge_count = sum(len(g.adj[u]) for u in comp) // 2
         if edge_count != len(comp) - 1:
             return False  # a cycle
-        if not any(_is_spider_centre(g, c, comp) for c in comp):
+        if not any(_is_spider_centre(g, c, len(comp)) for c in comp):
             return False
     return True
 
 
-def _is_spider_centre(g: Graph, c: int, comp: list[int]) -> bool:
-    depth = {c: 0}
-    frontier = [c]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if w not in depth:
-                    depth[w] = depth[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    for u in comp:
-        d = depth.get(u)
-        if d is None or d > 2:
-            return False
-        if d == 2 and len(g.adj[u]) != 1:
-            return False
-        if d == 1 and len(g.adj[u]) > 2:
-            return False
-    return True
+def _is_spider_centre(g: Graph, c: int, size: int) -> bool:
+    depth = bfs_distances(g, c, max_depth=2)
+    return len(depth) == size and all(
+        len(g.adj[u]) <= 2 for u, d in depth.items() if d == 1
+    )
 
 
 @dataclass(frozen=True)

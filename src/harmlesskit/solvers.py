@@ -187,10 +187,14 @@ def vc_solve(
     Walks the harmless guesses S inside a greedy 2-approximate cover X
     (``vc_scan``) and adds the packing optimum over the neighbourhood
     classes of the independent remainder.  The largest total wins, ties
-    keeping the smallest guess mask; with ``workers`` > 1 the mask range is
-    split into chunks walked in a process pool and folded by the same rule,
-    so results are identical for any worker count.
+    keeping the smallest guess mask.  The mask range is cut into
+    min(``workers``, CPU cores, masks) chunks, each walked in a process of
+    its own (in this process when there is one chunk) and folded by the
+    same rule, so results are identical for any worker count.  ``workers``
+    below 1 is refused.
     """
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
     cap = DEFAULT_COVER_CAP if cap is None else cap
     g = instance.graph
     X = sorted(greedy_vertex_cover(g))
@@ -209,19 +213,16 @@ def vc_solve(
 
     payload = (x_rows, x_thresh, _class_rows(classes, xpos), class_size, class_min_t)
     total_masks = 1 << nx
-    if workers <= 1:
-        best_total, best_mask = vc_scan(*payload, 0, total_masks)
+    # one chunk per process; every chunk holds at least one mask
+    parts = min(workers, os.cpu_count() or 1, total_masks)
+    bounds = [(total_masks * i) // parts for i in range(parts + 1)]
+    chunks = [(payload, bounds[i], bounds[i + 1]) for i in range(parts)]
+    if parts == 1:
+        results = [_scan_chunk(chunks[0])]
     else:
-        parts = min(workers, total_masks)  # every chunk holds at least one mask
-        bounds = [(total_masks * i) // parts for i in range(parts + 1)]
-        chunks = [(payload, bounds[i], bounds[i + 1]) for i in range(parts)]
-        # a fork pool starts all its processes up front, so start no more
-        # than there are chunks or cores
-        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=parts) as pool:
             results = list(pool.map(_scan_chunk, chunks))
-        best_total, best_mask = max(
-            results, key=lambda tm: (tm[0], -tm[1])
-        )
+    best_total, best_mask = max(results, key=lambda tm: (tm[0], -tm[1]))
 
     guess = frozenset(X[i] for i in range(nx) if best_mask >> i & 1)
     model = build_ilp(instance, X, guess)

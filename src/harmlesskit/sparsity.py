@@ -322,6 +322,16 @@ def verify_waterlily(g: Graph, lily: Waterlily, A: Optional[frozenset[int]] = No
     return problems
 
 
+def _largest_class(items: Iterable[int], key) -> tuple:
+    """``(key, members)`` of the largest class of the sorted items grouped by
+    ``key``; ties go to the class with the smallest first member, and no
+    items give ``((), [])``."""
+    classes: dict = {}
+    for v in sorted(items):
+        classes.setdefault(key(v), []).append(v)
+    return max(classes.items(), key=lambda kv: (len(kv[1]), -kv[1][0]), default=((), []))
+
+
 # the last prefix computed, as (graph, (A, r, d, c_close), prefix); the graph
 # is held and compared by identity, so an equal graph, such as the same file
 # loaded again, computes its own prefix
@@ -346,11 +356,8 @@ def _lily_prefix(
         return last[2]
     dominators = greedy_dominating(g, g.check_vertex_set(A), d)
     closed = projection_closure(g, dominators, r + d, c_close)
-    classes: dict[tuple, list[int]] = {}
-    for a in sorted(A - closed):
-        classes.setdefault(_finite_profile(g, closed, a, r + d), []).append(a)
-    profile, members = max(
-        classes.items(), key=lambda kv: (len(kv[1]), -kv[1][0]), default=((), [])
+    profile, members = _largest_class(
+        A - closed, lambda a: _finite_profile(g, closed, a, r + d)
     )
     prefix = (frozenset(v for v, _ in profile), tuple(members))
     _last_prefix = (g, key, prefix)
@@ -417,10 +424,7 @@ def build_waterlily(
     if not padded:
         return LilyFailure("pads", "no scattered vertex has a root-dominated pad")
 
-    uniform: dict[tuple, list[int]] = {}
-    for a in padded:
-        uniform.setdefault(_finite_profile(g, roots, a, d), []).append(a)
-    centres = max(uniform.values(), key=lambda vs: (len(vs), -vs[0]))
+    _, centres = _largest_class(padded, lambda a: _finite_profile(g, roots, a, d))
     if len(centres) < target:
         return LilyFailure(
             "uniform-class",

@@ -308,21 +308,13 @@ def product_cliques(mcc):
     ]
 
 
-def vc_scan_reference(
-    x_rows,
-    x_thresh,
-    class_rows,
-    class_size,
-    class_min_t,
-    mask_lo,
-    mask_hi,
-    best_total=-1,
-    best_mask=0,
-):
+def vc_scan_reference(x_rows, x_thresh, class_rows, class_size, class_min_t, mask_lo, mask_hi):
     """The cover-guess scan that the walk in ``vc_scan`` replaced: every mask
     in ``range(mask_lo, mask_hi)`` is tested for harmlessness from scratch,
-    in ascending order, with strict improvement."""
+    in ascending order, with strict improvement from ``(-1, 0)``."""
     from harmlesskit._core._pykernels import max_packing
+
+    best_total, best_mask = -1, 0
 
     xnbr_mask = [sum(1 << b for b in row) for row in x_rows]
     class_mask = [sum(1 << b for b in row) for row in class_rows]
@@ -374,6 +366,54 @@ def per_pair_missing_pairs(mcc):
     return tuple(
         (i, j) for i, j in combinations(range(1, mcc.k + 1), 2) if not per_pair_edges(mcc, i, j)
     )
+
+
+def reference_is_2_spider_forest(g) -> bool:
+    """The 2-spider check by its definition, with hand-written searches:
+    every component is a tree with a centre that reaches all of it within
+    distance two, whose distance-two vertices are leaves and whose
+    distance-one vertices have degree at most two."""
+    seen = [False] * g.n
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for w in g.adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        if sum(len(g.adj[u]) for u in comp) // 2 != len(comp) - 1:
+            return False  # a cycle
+        if not any(_reference_spider_centre(g, c, comp) for c in comp):
+            return False
+    return True
+
+
+def _reference_spider_centre(g, c, comp) -> bool:
+    depth = {c: 0}
+    frontier = [c]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if w not in depth:
+                    depth[w] = depth[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    for u in comp:
+        d = depth.get(u)
+        if d is None or d > 2:
+            return False
+        if d == 2 and len(g.adj[u]) != 1:
+            return False
+        if d == 1 and len(g.adj[u]) > 2:
+            return False
+    return True
 
 
 def reference_shrink_graph_step(ann):

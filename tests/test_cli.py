@@ -352,6 +352,26 @@ def test_fuzz_suites_pass(capsys, suite):
     assert json.loads(out)["result"]["passed"]
 
 
+@pytest.mark.parametrize("suite", ["hereditary", "kernel", "vc", "reduction"])
+def test_fuzz_count_0_exits_2(capsys, suite):
+    _assert_one_line_error(capsys, ["fuzz", "--suite", suite, "--count", "0"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--method", "vc", "--workers", "0", "{f}"],
+        ["fuzz", "--suite", "vc", "--workers", "-3"],
+    ],
+    ids=["solve", "fuzz"],
+)
+def test_fewer_than_one_worker_exits_2(capsys, triangle, argv):
+    assert main([a.format(f=triangle) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("harmlesskit: error: workers must be at least 1, got ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("suite", ["kernel", "vc", "reduction"])
 def test_fuzz_passes_the_brute_cap_to_the_oracle(capsys, suite):
     argv = ["fuzz", "--suite", suite, "--count", "8", "--seed", "3", "--brute-cap", "0"]
@@ -429,6 +449,21 @@ def test_verify_reduction_refuses_before_building_h(capsys, tmp_path):
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert err == "harmlesskit: error: 500001 selectable vertices exceed the brute-force cap 24\n"
+    assert elapsed < 1.0
+
+
+def test_reduce_mcc_refuses_an_oversized_h_before_building_it(capsys, tmp_path):
+    # H would have 3kn + 5C(k,2) + m(2n+1) + 2 = 1,600,008 vertices
+    path = tmp_path / "wide.mcc"
+    path.write_text("p mcc 2 200000\ne 1 1 2 1\n")
+    start = time.perf_counter()
+    assert main(["reduce-mcc", str(path)]) == 2
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert err == (
+        "harmlesskit: error: the reduction would build 1600008 vertices, "
+        "above the limit 1000000\n"
+    )
     assert elapsed < 1.0
 
 

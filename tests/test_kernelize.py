@@ -352,6 +352,28 @@ def test_kernelize_report_matches_golden(case):
     assert dumps(result) == dumps(case["result"])
 
 
+def test_star_forest_exchange_follows_the_profile_class_tie():
+    # two 5-leaf stars whose leaves tie for the largest (r+d)-profile class:
+    # the class of the smaller first member, leaf 1, goes first.  Recorded
+    # before the three largest-class picks became one function.
+    edges = [(0, i) for i in range(1, 6)] + [(6, i) for i in range(7, 12)]
+    inst = Instance(Graph.from_edges(12, edges), (3, 4, 4, 2, 3, 2, 3, 3, 4, 3, 2, 4), 3)
+    ann, report = kernelize(inst)
+    assert report.to_doc() == {
+        "p": 4,
+        "initial": {"graph": 12, "core": 12},
+        "final": {"graph": 12, "core": 10},
+        "outcome": "kernel",
+        "certificate": None,
+        "rule_counts": {"core-exchange": 2},
+        "steps": [
+            {"rule": "core-exchange", "vertex": 1, "graph": 12, "core": 11},
+            {"rule": "core-exchange", "vertex": 7, "graph": 12, "core": 10},
+        ],
+    }
+    assert sorted(ann.core) == [0, 2, 3, 4, 5, 6, 8, 9, 10, 11]
+
+
 def test_halving_targets_share_one_waterlily_prefix(monkeypatch):
     # two core states on the golden threshold-2 star: the prefix is computed
     # once per state, not once per halving target

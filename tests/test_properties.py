@@ -288,9 +288,9 @@ def test_build_ilp_matches_reference(inst, data):
 @st.composite
 def vc_scan_calls(draw):
     """``vc_scan`` arguments: up to 10 cover bits with random neighbour
-    rows and thresholds, random classes (rows list the class's roots), any
-    sub-range of the masks and any incoming incumbent.  Now and then one
-    threshold is 0, so that no guess at all is harmless."""
+    rows and thresholds, random classes (rows list the class's roots) and
+    any sub-range of the masks.  Now and then one threshold is 0, so that no
+    guess at all is harmless."""
     nx = draw(st.integers(min_value=0, max_value=10))
     rnd = draw(st.randoms(use_true_random=False))
     density = draw(st.sampled_from([0.1, 0.3, 0.6]))
@@ -311,23 +311,15 @@ def vc_scan_calls(draw):
             class_min_t[rnd.randrange(nclasses)] = 0
     full = 1 << nx
     lo, hi = sorted(draw(st.one_of(st.just((0, full)), st.tuples(*[st.integers(0, full)] * 2))))
-    best_total, best_mask = draw(
-        st.one_of(
-            st.just((-1, 0)),
-            st.tuples(st.integers(-1, nx + 5 * nclasses), st.integers(0, full - 1)),
-        )
-    )
     payload = (x_rows, x_thresh, class_rows, class_size, class_min_t)
-    return payload, lo, hi, best_total, best_mask
+    return payload, lo, hi
 
 
 @settings(max_examples=400, derandomize=True)
 @given(vc_scan_calls())
 def test_vc_walk_matches_scan_reference(call):
-    payload, lo, hi, best_total, best_mask = call
-    assert vc_scan(*payload, lo, hi, best_total, best_mask) == vc_scan_reference(
-        *payload, lo, hi, best_total, best_mask
-    )
+    payload, lo, hi = call
+    assert vc_scan(*payload, lo, hi) == vc_scan_reference(*payload, lo, hi)
 
 
 @st.composite

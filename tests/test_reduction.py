@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -21,10 +22,12 @@ from harmlesskit import (
     residual_budget,
     verify_reduction,
 )
+from harmlesskit import reduction
 from harmlesskit.generators import random_mcc
+from harmlesskit.reduction import reduction_vertex_count
 
 from cases import reduction_corpus
-from oracles import enumerate_harmless_sets
+from oracles import enumerate_harmless_sets, reference_is_2_spider_forest
 
 EDGE_K2N1 = MccInstance.from_edges(2, 1, [(1, 1, 2, 1)])
 TRIANGLE_K3N1 = MccInstance.from_edges(3, 1, [(1, 1, 2, 1), (1, 1, 3, 1), (2, 1, 3, 1)])
@@ -99,6 +102,26 @@ def test_size_identities():
             continue
         assert out.instance.n == expected_vertex_count(mcc.k, mcc.n, mcc.m)
         assert out.instance.graph.m == expected_edge_count(mcc.k, mcc.n, mcc.m)
+
+
+def test_vertex_count_formula_on_the_acceptance_corpus():
+    built = 0
+    for mcc in reduction_corpus():
+        out = build_reduction(mcc)
+        if out.degenerate:
+            continue
+        assert out.instance.n == reduction_vertex_count(mcc.k, mcc.n, mcc.m)
+        built += 1
+    assert built >= 90
+
+
+def test_build_reduction_refuses_above_the_vertex_limit(monkeypatch):
+    # EDGE_K2N1 gives a 16-vertex H: built at a limit of 16, refused at 15
+    monkeypatch.setattr(reduction, "MAX_REDUCTION_VERTICES", 16)
+    assert build_reduction(EDGE_K2N1).instance.n == 16
+    monkeypatch.setattr(reduction, "MAX_REDUCTION_VERTICES", 15)
+    with pytest.raises(ResourceLimitError, match="16 vertices"):
+        build_reduction(EDGE_K2N1)
 
 
 def test_reduction_deterministic():
@@ -192,6 +215,30 @@ def test_is_2_spider_forest_basics():
     assert is_2_spider_forest(star)
     subdivided = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
     assert is_2_spider_forest(subdivided)
+
+
+def spider_check_graphs(count, seed):
+    """Seeded random forests (each vertex hangs below an earlier one or
+    starts a tree) and sparse G(n, p) graphs, alternately, with n <= 14."""
+    rng = random.Random(seed)
+    for case in range(count):
+        n = rng.randint(0, 14)
+        if case % 2:
+            p = rng.choice((0.05, 0.1, 0.2))
+            edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+        else:
+            edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85]
+        yield Graph.from_edges(n, edges)
+
+
+def test_is_2_spider_forest_matches_reference():
+    answers = [
+        (is_2_spider_forest(g), reference_is_2_spider_forest(g))
+        for g in spider_check_graphs(10_000, seed=12)
+    ]
+    assert all(got == want for got, want in answers)
+    # both answers are common, so neither constant passes
+    assert 1000 < sum(want for _, want in answers) < 9000
 
 
 def test_modulator_counts():

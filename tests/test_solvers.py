@@ -344,13 +344,32 @@ class RecordingPool:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("cpus, size", [(64, 4), (3, 3), (None, 1)])
-def test_vc_pool_is_no_larger_than_chunks_or_cores(monkeypatch, cpus, size):
-    inst = Instance(star(4), (2,) * 5)  # greedy cover {0, 1}: 4 guess masks
+STAR4 = Instance(star(4), (2,) * 5)  # greedy cover {0, 1}: 4 guess masks
+# a 5-edge matching: greedy cover of 10 vertices, 1024 guess masks
+MATCHING5 = Instance(Graph.from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)]), (2,) * 10)
+
+
+@pytest.mark.parametrize(
+    "inst, workers, cpus, chunks",
+    [
+        (STAR4, 1000, 64, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        (STAR4, 1000, 3, [(0, 1), (1, 2), (2, 4)]),
+        (STAR4, 1000, None, []),  # one core: one chunk, walked in this process
+        (MATCHING5, 10**6, 2, [(0, 512), (512, 1024)]),
+    ],
+    ids=["64-4", "3-3", "None-1", "2-2"],  # cores-chunks
+)
+def test_vc_pool_is_no_larger_than_chunks_or_cores(monkeypatch, inst, workers, cpus, chunks):
     monkeypatch.setattr(SOLVERS, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(SOLVERS.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(RecordingPool, "chunks", [])
-    assert vc_solve(inst, workers=1000) == vc_solve(inst)
-    assert RecordingPool.sizes == [size]
-    assert [(lo, hi) for _, lo, hi in RecordingPool.chunks] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert vc_solve(inst, workers=workers) == vc_solve(inst)
+    assert RecordingPool.sizes == ([len(chunks)] if chunks else [])
+    assert [(lo, hi) for _, lo, hi in RecordingPool.chunks] == chunks
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_vc_refuses_fewer_than_one_worker(workers):
+    with pytest.raises(InvalidArgumentError, match="workers"):
+        vc_solve(STAR4, workers=workers)

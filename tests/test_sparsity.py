@@ -295,3 +295,10 @@ def test_waterlily_fuzz_verified_independently():
         built += 1
         assert check_waterlily(g, lily, A) == []
     assert built > 0  # the pipeline succeeds often enough to be meaningful
+
+
+def test_largest_class_ties_go_to_the_smallest_first_member():
+    odd_even = sparsity._largest_class({5, 1, 4, 2}, lambda v: v % 2)
+    assert odd_even == (1, [1, 5])  # [1, 5] and [2, 4] tie; 1 < 2
+    assert sparsity._largest_class(range(6), lambda v: v >= 2) == (True, [2, 3, 4, 5])
+    assert sparsity._largest_class((), lambda v: v) == ((), [])
