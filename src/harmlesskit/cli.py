@@ -68,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--output", "-o", help="write the report here instead of stdout")
-    # every other option goes only to the subcommands that read it, so the
-    # report's config never records a value that changed nothing
+    # every other option goes only to the subcommands that can read it; the
+    # report's config records each option its subcommand accepts, also one
+    # that the chosen --method, --suite or --x-ids leaves unread
     timing = _option("--timing", action="store_true", help="embed wall-clock timings")
     seed = _option("--seed", type=int, default=0)
     workers = _option("--workers", type=int, default=1)

@@ -78,12 +78,9 @@ class Graph:
         """Induced subgraph on ``keep``; returns it plus the old->new id map."""
         kept = sorted(self.check_vertex_set(keep))
         remap = {old: new for new, old in enumerate(kept)}
-        edges = [
-            (remap[u], remap[v])
-            for u, v in self.edges()
-            if u in remap and v in remap
-        ]
-        return Graph.from_edges(len(kept), edges), remap
+        # the remap keeps ids in order, so every row stays sorted
+        adj = tuple(tuple(remap[w] for w in self.adj[u] if w in remap) for u in kept)
+        return Graph(len(kept), adj), remap
 
 
 def bfs_distances(
@@ -229,13 +226,10 @@ def cap_thresholds(instance: Instance) -> Instance:
 
 
 def compute_core(instance: Instance) -> frozenset[int]:
-    """Vertices with no threshold-1 neighbour; every harmless set lives inside."""
-    t = instance.thresholds
-    return frozenset(
-        u
-        for u in range(instance.n)
-        if all(t[w] > 1 for w in instance.graph.adj[u])
-    )
+    """All vertices but the threshold-1 vertices' neighbours; harmless sets live inside."""
+    adj = instance.graph.adj
+    fragile_hit = {w for u, t in enumerate(instance.thresholds) if t == 1 for w in adj[u]}
+    return frozenset(range(instance.n)).difference(fragile_hit)
 
 
 @dataclass(frozen=True)

@@ -98,9 +98,7 @@ def _core_reduction(ann: AnnotatedInstance, p: int) -> CoreShrinkOutcome:
     k = inst.require_k()
 
     # (a) members of K with a fragile neighbour can never be selected
-    fragile_hit = tuple(
-        x for x in sorted(K) if any(t[w] == 1 for w in g.adj[x])
-    )
+    fragile_hit = tuple(sorted(K - compute_core(inst)))
     if fragile_hit:
         return RemoveVertices(fragile_hit, "core-fragile")
 
@@ -243,9 +241,11 @@ def kernelize(
             break
         if isinstance(res, Stuck):
             break
-        for x in res.vertices:
-            ann = ann.shrink_core((x,))
-            steps.append(KernelStep(res.rule, x, ann.graph.n, len(ann.core)))
+        # one shrink per batch; each step counts the core as after its own removal
+        n, core_size = ann.graph.n, len(ann.core)
+        ann = ann.shrink_core(res.vertices)
+        for i, x in enumerate(res.vertices, 1):
+            steps.append(KernelStep(res.rule, x, n, core_size - i))
 
     if outcome == "kernel":
         # a step names v as numbered when it went: minus earlier removals below v

@@ -401,7 +401,12 @@ def is_2_spider_forest(g: Graph) -> bool:
         edge_count = sum(len(g.adj[u]) for u in comp) // 2
         if edge_count != len(comp) - 1:
             return False  # a cycle
-        if not any(_is_spider_centre(g, c, len(comp)) for c in comp):
+        # legs have degree at most 2: only a vertex above that can be the centre,
+        # and two such vertices rule the component out
+        hubs = [u for u in comp if len(g.adj[u]) > 2]
+        if len(hubs) > 1:
+            return False
+        if not any(_is_spider_centre(g, c, len(comp)) for c in hubs or comp):
             return False
     return True
 

@@ -354,7 +354,7 @@ def _lily_prefix(
     last = _last_prefix
     if last is not None and last[0] is g and last[1] == key:
         return last[2]
-    dominators = greedy_dominating(g, g.check_vertex_set(A), d)
+    dominators = greedy_dominating(g, A, d)
     closed = projection_closure(g, dominators, r + d, c_close)
     profile, members = _largest_class(
         A - closed, lambda a: _finite_profile(g, closed, a, r + d)

@@ -123,6 +123,40 @@ def test_core_contains_every_harmless_set():
             assert S <= core
 
 
+def test_compute_core_matches_its_definition():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        g = Graph.from_edges(n, edges)
+        t = tuple(rng.randint(1, 3) for _ in range(n))
+        want = {u for u in range(n) if all(t[w] > 1 for w in g.adj[u])}
+        assert compute_core(Instance(g, t)) == want
+
+
+def test_induced_equals_a_rebuild_of_the_kept_edges():
+    rng = random.Random(7)
+    for _ in range(500):
+        n = rng.randint(0, 14)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+        g = Graph.from_edges(n, edges)
+        # unsorted, with repeats: the kept set is what counts
+        keep = [u for u in range(n) if rng.random() < 0.6]
+        keep += rng.sample(keep, len(keep) // 3)
+        rng.shuffle(keep)
+        sub, remap = g.induced(keep)
+        kept = sorted(set(keep))
+        assert list(remap.items()) == [(old, new) for new, old in enumerate(kept)]
+        rebuilt = Graph.from_edges(
+            len(kept), [(remap[u], remap[v]) for u, v in g.edges() if u in remap and v in remap]
+        )
+        assert sub.n == rebuilt.n
+        assert sub.adj == rebuilt.adj
+    for bad in ([0, 4], [-1], [7]):
+        with pytest.raises(InvalidArgumentError):
+            PATH4.induced(bad)
+
+
 def test_x_avoiding_distance():
     # path a-b-c-d with X = {a, d}
     assert x_avoiding_distance(PATH4, {0, 3}, 1, 3, 2) == 2  # b-c-d

@@ -156,14 +156,15 @@ def test_twin_removal_tie_breaks_on_higher_id():
 def test_twin_phase_builds_the_kernel_graph_once(monkeypatch):
     # hundreds of twin removals, and no graph built but the kernel's
     inst = fragile_heavy_instance(600, 3)
-    from_edges = Graph.from_edges.__func__
+    # every way of building a graph passes through its constructor
+    init = Graph.__init__
     built = []
 
-    def counting(cls, n, edges):
+    def counting(self, n, adj):
         built.append(n)
-        return from_edges(cls, n, edges)
+        init(self, n, adj)
 
-    monkeypatch.setattr(Graph, "from_edges", classmethod(counting))
+    monkeypatch.setattr(Graph, "__init__", counting)
     ann, report = kernelize(inst)
     assert report.rule_counts() == {"twin": inst.n - ann.graph.n}
     assert inst.n - ann.graph.n > 400

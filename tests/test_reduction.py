@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -239,6 +240,18 @@ def test_is_2_spider_forest_matches_reference():
     assert all(got == want for got, want in answers)
     # both answers are common, so neither constant passes
     assert 1000 < sum(want for _, want in answers) < 9000
+
+
+def test_is_2_spider_forest_is_linear_on_a_large_star():
+    # a 5,000-leaf star with a 2-edge leg hung on leaf 1: vertex 5002 lies at
+    # distance 3 from the only possible centre, so this is no 2-spider
+    leaves = 5000
+    edges = [(0, i) for i in range(1, leaves + 1)]
+    edges += [(1, leaves + 1), (leaves + 1, leaves + 2)]
+    g = Graph.from_edges(leaves + 3, edges)
+    start = time.perf_counter()
+    assert not is_2_spider_forest(g)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_modulator_counts():
