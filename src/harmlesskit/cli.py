@@ -49,7 +49,7 @@ from .sparsity import (
     count_profiles,
     projection_closure,
 )
-from .solvers import DEFAULT_BRUTE_CAP, brute_force_max, decide, vc_solve
+from .solvers import brute_force_max, vc_solve
 
 
 def _option(*flags, **kwargs) -> argparse.ArgumentParser:
@@ -73,19 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
     # that the chosen --method, --suite or --x-ids leaves unread
     timing = _option("--timing", action="store_true", help="embed wall-clock timings")
     seed = _option("--seed", type=int, default=0)
-    workers = _option("--workers", type=int, default=1)
     brute_cap = _option("--brute-cap", type=int, default=None)
-    cover_cap = _option("--cover-cap", type=int, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "solve",
-        parents=[common, timing, brute_cap, cover_cap, workers],
-        help="exact maximum harmless set",
+        "solve", parents=[common, timing, brute_cap], help="exact maximum harmless set"
     )
     p.add_argument("input")
     p.add_argument("--method", choices=("brute", "vc"), default="brute")
+    p.add_argument("--cover-cap", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--decide", action="store_true", help="exit 1 when the size-k decision is NO")
 
     p = sub.add_parser("kernelize", parents=[common, timing], help="run the reduction-rule pipeline")
@@ -123,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lily-target", type=int, default=None)
 
     p = sub.add_parser(
-        "fuzz", parents=[common, brute_cap, workers, seed], help="randomised oracle cross-checks"
+        "fuzz", parents=[common, brute_cap, seed], help="randomised oracle cross-checks"
     )
     p.add_argument(
         "--suite",
@@ -134,7 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, result: dict, renderer) -> None:
+def _emit(args, result: dict, renderer, ms=None) -> None:
+    if ms is not None:
+        result["timing_ms"] = ms
     report = {
         "tool": "harmlesskit",
         "version": __version__,
@@ -168,12 +168,11 @@ def _cmd_solve(args) -> int:
     instance = load_any_instance(args.input)
     if args.decide and instance.k is None:
         raise InvalidArgumentError("--decide needs a target size k in the instance")
-    solver = brute_force_max if args.method == "brute" else vc_solve
     if args.method == "brute":
-        kwargs = {"cap": args.brute_cap}
+        solver = functools.partial(brute_force_max, instance, cap=args.brute_cap)
     else:
-        kwargs = {"cap": args.cover_cap, "workers": args.workers}
-    (optimum, witness), ms = _maybe_time(args, lambda: solver(instance, **kwargs))
+        solver = functools.partial(vc_solve, instance, cap=args.cover_cap, workers=args.workers)
+    (optimum, witness), ms = _maybe_time(args, solver)
     decision = None if instance.k is None else optimum >= instance.k
     result = {
         "method": args.method,
@@ -184,8 +183,6 @@ def _cmd_solve(args) -> int:
         "witness": sorted(witness),
         "decision": decision,
     }
-    if ms is not None:
-        result["timing_ms"] = ms
 
     def render(r):
         lines = [f"optimum {r['optimum']} via {r['method']} on n={r['n']} m={r['m']}"]
@@ -194,7 +191,7 @@ def _cmd_solve(args) -> int:
             lines.append(f"decision (k={r['k']}): {'YES' if r['decision'] else 'NO'}")
         return "\n".join(lines)
 
-    _emit(args, result, render)
+    _emit(args, result, render, ms)
     return 1 if (args.decide and decision is False) else 0
 
 
@@ -218,8 +215,6 @@ def _cmd_kernelize(args) -> int:
         "kernel": kernel_doc,
         "plain": args.plain,
     }
-    if ms is not None:
-        result["timing_ms"] = ms
     if args.kernel_out:
         out = Path(args.kernel_out)
         if out.suffix == ".json":
@@ -238,7 +233,7 @@ def _cmd_kernelize(args) -> int:
             ]
         )
 
-    _emit(args, result, render)
+    _emit(args, result, render, ms)
     return 1 if decision == "no" else 0
 
 
@@ -264,8 +259,6 @@ def _cmd_reduce_mcc(args) -> int:
         "instance_edges": out.instance.graph.m,
         "modulator_size": len(out.modulator),
     }
-    if ms is not None:
-        result["timing_ms"] = ms
 
     def render(r):
         return (
@@ -275,7 +268,7 @@ def _cmd_reduce_mcc(args) -> int:
             + (" (degenerate: missing colour pair)" if r["degenerate"] else "")
         )
 
-    _emit(args, result, render)
+    _emit(args, result, render, ms)
     return 0
 
 
@@ -286,8 +279,6 @@ def _cmd_verify_reduction(args) -> int:
         lambda: verify_reduction(mcc, cap=args.brute_cap),
     )
     result = report.to_doc()
-    if ms is not None:
-        result["timing_ms"] = ms
 
     def render(r):
         status = "CONFIRMED" if report.ok else "FAILED"
@@ -296,7 +287,7 @@ def _cmd_verify_reduction(args) -> int:
             f"optimum={r['optimum']} target={r['target']}"
         )
 
-    _emit(args, result, render)
+    _emit(args, result, render, ms)
     return 0 if report.ok else 2
 
 
@@ -332,12 +323,11 @@ def _cmd_stats(args) -> int:
     instance = load_any_instance(args.input)
     g = instance.graph
     rng = random.Random(args.seed)
-    if args.x_ids:
+    if args.x_ids is not None:
         X = frozenset(_vertex_id(tok, g.n) - 1 for tok in args.x_ids.split(","))
-    elif args.x_size is not None:
-        X = frozenset(rng.sample(range(g.n), min(args.x_size, g.n)))
     else:
-        X = frozenset(rng.sample(range(g.n), min(max(1, g.n // 4), g.n))) if g.n else frozenset()
+        size = max(1, g.n // 4) if args.x_size is None else args.x_size
+        X = frozenset(rng.sample(range(g.n), min(size, g.n)))
     result = {
         "n": g.n,
         "m": g.m,
@@ -405,7 +395,7 @@ def _cmd_fuzz(args) -> int:
             n = rng.randint(1, 9)
             inst = random_instance(rng, n, k=rng.randint(0, n))
             ann, rep = kernelize(inst)
-            want = decide(inst, cap=args.brute_cap)
+            want = brute_force_max(inst, cap=args.brute_cap)[0] >= inst.k
             got = (
                 rep.outcome == "yes"
                 or brute_force_max(ann.instance, candidates=ann.core, cap=args.brute_cap)[0]
@@ -417,11 +407,10 @@ def _cmd_fuzz(args) -> int:
         for case in range(count):
             inst = random_instance(rng, rng.randint(1, 12))
             b, _ = brute_force_max(inst, cap=args.brute_cap)
-            v, w = vc_solve(inst, workers=args.workers)
+            v, w = vc_solve(inst)
             if b != v or not is_harmless(inst, w):
                 failures.append(f"case {case}: vc={v} oracle={b}")
     elif args.suite == "reduction":
-        cap = DEFAULT_BRUTE_CAP if args.brute_cap is None else args.brute_cap
         for case in range(count):
             mcc = random_mcc(rng, rng.choice((2, 3)), rng.choice((1, 2)))
             # an edge in every colour pair: a missing pair reduces to the
@@ -431,9 +420,11 @@ def _cmd_fuzz(args) -> int:
             mcc = MccInstance.from_edges(mcc.k, mcc.n, [*mcc.edges, *fill])
             out = build_reduction(mcc)
             try:
-                rep = check_reduction(out, cap=cap)
-            except ResourceLimitError:  # the oracle refuses H's core
+                rep = check_reduction(out, cap=args.brute_cap)
+            except ResourceLimitError as exc:  # the oracle refuses H's core
                 skipped += 1
+                if skipped == count:  # a run that checks nothing does not pass
+                    raise ResourceLimitError(f"all {count} cases were refused, the last with: {exc}")
                 continue
             if not rep.ok:
                 failures.append(f"case {case}: reduction check failed: {rep.to_doc()}")
@@ -441,8 +432,6 @@ def _cmd_fuzz(args) -> int:
                 sol = construct_clique_solution(out, clique)
                 if len(sol) != out.target or not is_harmless(out.instance, sol):
                     failures.append(f"case {case}: clique solution invalid for {clique}")
-        if skipped == count:  # a run that checks nothing does not pass
-            raise ResourceLimitError(f"all {count} cases exceed the brute-force cap {cap}")
     result = {
         "suite": args.suite,
         "count": count,
@@ -470,7 +459,7 @@ _COMMANDS = {
 
 
 # built once per process: parsing leaves a parser unchanged, and one build
-# constructs 13 of them
+# constructs 11 of them
 _parser = functools.cache(build_parser)
 
 

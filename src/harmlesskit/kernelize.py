@@ -214,12 +214,15 @@ def kernelize(
     constant-size YES instance with the certificate in the report.  The
     number of rule applications is at most |K| + |G|: the core strictly
     shrinks on core rules and the graph strictly shrinks on twin rules.
+    An explicit p below 1 is refused: every threshold is at least 1.
     """
     k = instance.require_k()
     if p is None:
         work = cap_thresholds(instance)
         p = k + 1
     else:
+        if p < 1:
+            raise InvalidArgumentError(f"the threshold bound p must be at least 1, got {p}")
         if instance.n and instance.max_threshold() > p:
             raise InvalidArgumentError(
                 f"threshold {instance.max_threshold()} exceeds the declared bound p={p}"

@@ -28,8 +28,11 @@ _MAX_CLASSES = 10_000
 
 def check_brute_cap(count: int, cap: Optional[int]) -> None:
     """Refuse a brute-force search over ``count`` selectable vertices when
-    that exceeds ``cap`` (None means ``DEFAULT_BRUTE_CAP``)."""
+    that exceeds ``cap`` (None means ``DEFAULT_BRUTE_CAP``); a negative
+    ``cap`` is refused."""
     cap = DEFAULT_BRUTE_CAP if cap is None else cap
+    if cap < 0:
+        raise InvalidArgumentError(f"the brute-force cap must be non-negative, got {cap}")
     if count > cap:
         raise ResourceLimitError(f"{count} selectable vertices exceed the brute-force cap {cap}")
 
@@ -57,13 +60,6 @@ def brute_force_max(
     if not is_harmless(instance, witness_set):
         raise InvariantError("search returned a non-harmless witness")
     return size, witness_set
-
-
-def decide(instance: Instance, **kwargs) -> bool:
-    """YES/NO answer for the size-k decision via the brute-force oracle."""
-    k = instance.require_k()
-    optimum, _ = brute_force_max(instance, **kwargs)
-    return optimum >= k
 
 
 def greedy_vertex_cover(g: Graph) -> frozenset[int]:
@@ -191,11 +187,13 @@ def vc_solve(
     min(``workers``, CPU cores, masks) chunks, each walked in a process of
     its own (in this process when there is one chunk) and folded by the
     same rule, so results are identical for any worker count.  ``workers``
-    below 1 is refused.
+    below 1 and a negative ``cap`` are refused.
     """
     if workers < 1:
         raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
     cap = DEFAULT_COVER_CAP if cap is None else cap
+    if cap < 0:
+        raise InvalidArgumentError(f"the cover cap must be non-negative, got {cap}")
     g = instance.graph
     X = sorted(greedy_vertex_cover(g))
     nx = len(X)

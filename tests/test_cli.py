@@ -116,6 +116,24 @@ def test_timing_flag_adds_timing(capsys, triangle):
     assert "timing_ms" in json.loads(out)["result"]
 
 
+@pytest.mark.parametrize("command", ["solve", "kernelize", "reduce-mcc", "verify-reduction"])
+def test_timing_adds_only_timing_ms(capsys, triangle, tmp_path, command):
+    argv = _subcommand_argv(command, triangle, tmp_path)
+    plain = run(capsys, *argv)
+    timed = run(capsys, *argv, "--timing")
+    assert timed[0] == plain[0] == 0
+    plain_doc, timed_doc = json.loads(plain[1]), json.loads(timed[1])
+    ms = timed_doc["result"].pop("timing_ms")
+    assert isinstance(ms, float) and ms >= 0
+    assert timed_doc["config"].pop("timing") is True
+    assert plain_doc["config"].pop("timing") is False
+    assert timed_doc == plain_doc
+    # the text renderings do not show timing
+    assert run(capsys, *argv, "--format", "text", "--timing") == run(
+        capsys, *argv, "--format", "text"
+    )
+
+
 def test_kernelize_no_instance_exits_1(capsys, tmp_path):
     path = tmp_path / "no.hs"
     path.write_text(NO_CORE_TEXT)
@@ -296,8 +314,9 @@ def test_stats_waterlily_dump(capsys, tmp_path):
         ("--x-ids", "0", "vertex 0 "),
         ("--x-ids", "9", "vertex 9 "),
         ("--x-size", "-1", "-1"),
+        ("--x-ids", "", "got ''"),
     ],
-    ids=["x-ids-not-int", "x-ids-0", "x-ids-9", "x-size-negative"],
+    ids=["x-ids-not-int", "x-ids-0", "x-ids-9", "x-size-negative", "x-ids-empty"],
 )
 def test_stats_bad_target_set_exits_2(capsys, triangle, option, value, quoted):
     assert main(["stats", str(triangle), option, value]) == 2
@@ -358,18 +377,45 @@ def test_fuzz_count_0_exits_2(capsys, suite):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["solve", "--method", "vc", "--workers", "0", "{f}"],
-        ["fuzz", "--suite", "vc", "--workers", "-3"],
-    ],
-    ids=["solve", "fuzz"],
+    "argv", [["solve", "--method", "vc", "--workers", "0", "{f}"]], ids=["solve"]
 )
 def test_fewer_than_one_worker_exits_2(capsys, triangle, argv):
     assert main([a.format(f=triangle) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("harmlesskit: error: workers must be at least 1, got ")
     assert err.count("\n") == 1
+
+
+EMPTY_TEXT = "p hs 0 0\nk 0\n"
+BRUTE_CAP_REFUSAL = "the brute-force cap must be non-negative, got -1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--brute-cap", "-1", "{f}"], BRUTE_CAP_REFUSAL),
+        (["solve", "--method", "vc", "--cover-cap", "-1", "{f}"],
+         "the cover cap must be non-negative, got -1"),
+        (["verify-reduction", "--brute-cap", "-1", "{m}"], BRUTE_CAP_REFUSAL),
+        (["fuzz", "--suite", "kernel", "--brute-cap", "-1"], BRUTE_CAP_REFUSAL),
+        (["fuzz", "--suite", "vc", "--brute-cap", "-1"], BRUTE_CAP_REFUSAL),
+        (["fuzz", "--suite", "reduction", "--brute-cap", "-1"], BRUTE_CAP_REFUSAL),
+        (["kernelize", "-p", "0", "{f}"], "the threshold bound p must be at least 1, got 0"),
+        (["kernelize", "-p", "-1", "{f}"], "the threshold bound p must be at least 1, got -1"),
+    ],
+    ids=[
+        "solve-brute-cap", "solve-cover-cap", "verify-reduction", "fuzz-kernel", "fuzz-vc",
+        "fuzz-reduction", "kernelize-p-0", "kernelize-p-negative",
+    ],
+)
+def test_out_of_domain_cap_or_bound_exits_2(capsys, tmp_path, argv, message):
+    # an empty instance: the value is refused, not a search it would bound
+    empty = tmp_path / "empty.hs"
+    empty.write_text(EMPTY_TEXT)
+    mcc = tmp_path / "edge.mcc"
+    mcc.write_text(MCC_EDGE)
+    assert main([a.format(f=empty, m=mcc) for a in argv]) == 2
+    assert capsys.readouterr().err == f"harmlesskit: error: {message}\n"
 
 
 @pytest.mark.parametrize("suite", ["kernel", "vc", "reduction"])
@@ -542,7 +588,7 @@ CONFIG_KEYS = {
         "input", "radius", "x_ids", "x_size", "closure_bound",
         "lily_radius", "lily_depth", "lily_target", "seed",
     },
-    "fuzz": {"suite", "count", "brute_cap", "workers", "seed"},
+    "fuzz": {"suite", "count", "brute_cap", "seed"},
 }
 SHARED_OPTIONS = {
     "--timing": "timing",
