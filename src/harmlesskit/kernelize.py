@@ -110,7 +110,19 @@ def _core_reduction(ann: AnnotatedInstance, p: int) -> CoreShrinkOutcome:
         return YesCertificate(scattered)
 
     # (c) waterlily exchange: an oversized uniform signature class has
-    # interchangeable centres, so all but p*|R| of them can leave the core
+    # interchangeable centres, so all but p*|R| of them can leave the core.
+    # It cannot fire unless some vertex has more than p neighbours in K, so
+    # without one no waterlily is built.  This holds only at LILY_DEPTH = 1:
+    # a centre lies in its own pad, which the roots 1-dominate, so it has a
+    # root neighbour; uniform centres share their root neighbours, so one
+    # root is adjacent to every centre; and the exchange needs more than
+    # p*|R| >= p centres, all in K.
+    hits = [0] * g.n
+    for u in K:
+        for w in g.adj[u]:
+            hits[w] += 1
+    if max(hits, default=0) <= p:
+        return Stuck("no vertex has more than p core neighbours")
     for target in _lily_targets(len(K)):
         lily = build_waterlily(g, K, LILY_RADIUS, LILY_DEPTH, target)
         if isinstance(lily, LilyFailure):

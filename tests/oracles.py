@@ -447,6 +447,54 @@ def reference_twin_phase(ann):
         steps.append((v, ann.graph.n, len(ann.core)))
 
 
+def reference_core_reduction(ann, p):
+    """``kernelize._core_reduction`` without its core-degree guard: step (c)
+    tries a waterlily at every halving target, whatever the degrees."""
+    from harmlesskit.errors import InvariantError
+    from harmlesskit.graph import compute_core, is_harmless
+    from harmlesskit.kernelize import (
+        LILY_DEPTH,
+        LILY_RADIUS,
+        RemoveVertices,
+        Stuck,
+        YesCertificate,
+        _lily_targets,
+        _signature,
+    )
+    from harmlesskit.sparsity import (
+        LilyFailure,
+        _greedy_scattered,
+        _largest_class,
+        build_waterlily,
+    )
+
+    inst = ann.instance
+    g = inst.graph
+    t = inst.thresholds
+    K = ann.core
+    k = inst.require_k()
+
+    fragile_hit = tuple(sorted(K - compute_core(inst)))
+    if fragile_hit:
+        return RemoveVertices(fragile_hit, "core-fragile")
+
+    scattered = frozenset(_greedy_scattered(g, K, 1))
+    if len(scattered) >= k:
+        if not is_harmless(inst, scattered):
+            raise InvariantError("scattered certificate is not harmless")
+        return YesCertificate(scattered)
+
+    for target in _lily_targets(len(K)):
+        lily = build_waterlily(g, K, LILY_RADIUS, LILY_DEPTH, target)
+        if isinstance(lily, LilyFailure):
+            continue
+        _, members = _largest_class(lily.centres, lambda c: _signature(g, t, lily.roots, c))
+        keep = p * len(lily.roots)
+        if len(members) > keep:
+            return RemoveVertices(tuple(members[: len(members) - keep]), "core-exchange")
+    return Stuck("no oversized uniform signature class found")
+
+
 def reference_kernelize(instance, p=None):
     """``kernelize`` with its twin phase run by ``reference_twin_phase``;
     the core phase is the library's own.  Returns the kernel and the

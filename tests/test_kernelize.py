@@ -12,6 +12,7 @@ from harmlesskit import (
     InvalidArgumentError,
     InvariantError,
     RemoveVertices,
+    Stuck,
     YesCertificate,
     brute_force_max,
     cap_thresholds,
@@ -28,8 +29,8 @@ from harmlesskit.generators import random_instance
 from harmlesskit.io import doc_to_instance, dumps, instance_to_doc
 from harmlesskit.kernelize import kernel_decision
 
-from cases import fragile_heavy_instance
-from oracles import naive_max_harmless
+from cases import fragile_heavy_instance, stub_pairing
+from oracles import naive_max_harmless, reference_core_reduction
 
 
 def annotated_optimum(ann: AnnotatedInstance) -> int:
@@ -395,3 +396,111 @@ def test_halving_targets_share_one_waterlily_prefix(monkeypatch):
     case = next(c for c in GOLDEN["cases"] if c["name"] == "star7-tail-k2")
     kernelize(doc_to_instance(case["instance"]))
     assert counts == {"greedy_dominating": 2, "build_waterlily": 5}
+
+
+# ---------------------------------------------------------------------------
+# the core-degree guard in front of the waterlily exchange
+# ---------------------------------------------------------------------------
+
+GUARD_REASON = "no vertex has more than p core neighbours"
+
+
+def guard_instances(rng):
+    """Star forests (hubs on a path) and a hub on a sparse random graph, with a
+    small explicit p and once more with the default p = k+1; then a degree-3
+    graph with thresholds 10% 1 / 45% 2 / 45% 3 and the default p."""
+    edges, hubs, n = [], [], 0
+    for _ in range(rng.randint(1, 4)):
+        hubs.append(n)
+        leaves = rng.randint(3, 9)
+        edges += [(n, n + i) for i in range(1, leaves + 1)]
+        n += leaves + 1
+    edges += list(zip(hubs, hubs[1:]))
+    p = rng.randint(2, 4)
+    thresholds = tuple(rng.randint(2, p) for _ in range(n))
+    inst = Instance(Graph.from_edges(n, edges), thresholds, rng.randint(1, n // 2 + 1))
+    yield inst, p
+    yield inst, None
+
+    n = rng.randint(8, 30)
+    edges = {(u, v) for u in range(1, n) for v in range(u + 1, n) if rng.random() < 2 / n}
+    edges |= {(0, v) for v in range(1, n) if rng.random() < 0.6}
+    p = rng.randint(2, 4)
+    thresholds = tuple(rng.randint(1, p) for _ in range(n))
+    yield Instance(Graph.from_edges(n, sorted(edges)), thresholds, rng.randint(1, n // 2 + 1)), p
+
+    n = rng.randint(10, 60)
+    thresholds = tuple(rng.choices((1, 2, 3), (10, 45, 45))[0] for _ in range(n))
+    yield Instance(Graph.from_edges(n, stub_pairing(rng, n)), thresholds, rng.randint(1, n // 2)), None
+
+
+def test_core_degree_guard_matches_unguarded_reference():
+    # every core state a kernelize run passes through: the guarded and the
+    # unguarded core rules agree on the outcome's class and on its vertices
+    rng = random.Random(67)
+    exchanges = skips = other_stops = 0
+    for _ in range(60):
+        for inst, p in guard_instances(rng):
+            if p is None:
+                inst, p = cap_thresholds(inst), inst.k + 1
+            ann = AnnotatedInstance(inst, compute_core(inst))
+            while True:
+                got = shrink_core_step(ann, p)
+                want = reference_core_reduction(ann, p)
+                assert type(got) is type(want)
+                if isinstance(got, Stuck):
+                    if got.reason == GUARD_REASON:
+                        skips += 1
+                    else:
+                        other_stops += 1
+                    break
+                assert got == want
+                if isinstance(got, YesCertificate):
+                    break
+                exchanges += got.rule == "core-exchange"
+                ann = ann.shrink_core(got.vertices)
+    assert exchanges >= 80 and skips >= 80 and other_stops >= 50
+
+
+def test_core_degree_guard_skips_the_waterlily_on_degree_3(monkeypatch):
+    # a kernel-hard-shaped instance: degree 3, n = 150, thresholds 10/45/45 %
+    # and k one above the greedy scattered set, so no early YES; p = k+1 is
+    # far above every core degree, so no waterlily prefix is built
+    module = importlib.import_module("harmlesskit.kernelize")
+    counts = {"greedy_dominating": 0, "build_waterlily": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    rng = random.Random(71)
+    n = 150
+    thresholds = [1] * 15 + [2] * 68 + [3] * 67
+    rng.shuffle(thresholds)
+    g = Graph.from_edges(n, stub_pairing(rng, n))
+    probe = Instance(g, tuple(thresholds), 0)
+    k = len(sparsity._greedy_scattered(g, compute_core(probe), 1)) + 1
+    inst = Instance(g, tuple(thresholds), k)
+
+    counted(sparsity, "greedy_dominating")
+    counted(module, "build_waterlily")
+    _, report = kernelize(inst)
+    assert counts == {"greedy_dominating": 0, "build_waterlily": 0}
+
+    monkeypatch.setattr(module, "_core_reduction", reference_core_reduction)
+    _, reference = kernelize(inst)
+    assert counts["greedy_dominating"] > 0  # the reference did build the prefix
+    assert report.to_doc() == reference.to_doc()
+
+
+def test_core_degree_guard_assumes_lily_depth_1():
+    module = importlib.import_module("harmlesskit.kernelize")
+    assert module.LILY_DEPTH == 1, (
+        "the core-degree guard in _core_reduction (Stuck: 'no vertex has more than "
+        "p core neighbours') is proved only for LILY_DEPTH = 1; re-prove or remove it"
+    )
