@@ -200,9 +200,8 @@ def max_packing(class_size, rows, caps):
         i += 1
 
 
-def vc_scan(x_rows, x_thresh, class_rows, class_size, class_min_t, mask_lo, mask_hi):
-    """Walk the harmless cover guesses ``mask_lo <= S < mask_hi`` and fold
-    the best total.
+def vc_scan(x_rows, x_thresh, class_rows, class_size, class_min_t):
+    """Walk the harmless cover guesses and fold the best total.
 
     Bit b of a guess stands for cover position b.  A guess S is harmless
     when every cover vertex i has fewer than ``x_thresh[i]`` neighbours in S
@@ -212,9 +211,7 @@ def vc_scan(x_rows, x_thresh, class_rows, class_size, class_min_t, mask_lo, mask
     neighbourhood classes is solved exactly.  Returns
     ``(best_total, best_mask)``: the largest total, ties favouring the
     smaller mask (guesses are visited in ascending order and improvement is
-    strict), or ``(-1, 0)`` when the range holds no harmless guess.  Only
-    masks in ``[0, 2**len(x_rows))`` are guesses; the range is clipped to
-    it.
+    strict), or ``(-1, 0)`` when no guess is harmless.
 
     Depth-first walk without recursion, one level per cover bit, deciding
     bit nx-1 first and taking the 0-branch before the 1-branch, so guesses
@@ -223,19 +220,16 @@ def vc_scan(x_rows, x_thresh, class_rows, class_size, class_min_t, mask_lo, mask
     would.  The residual budgets are updated as bits are set and restored on
     backtrack.  A 1-branch is entered only while every budget it touches
     stays non-negative: harmlessness is closed under taking subsets, so a
-    refused branch holds no harmless guess.  Subtrees whose masks miss the
-    range are skipped.
+    refused branch holds no harmless guess.
     """
     nx = len(x_rows)
     nclasses = len(class_rows)
-    lo = max(mask_lo, 0)
-    hi = min(mask_hi, 1 << nx)
     # caps[r]: how many more guessed neighbours (roots) budget row r takes;
     # a negative value means no guess is harmless.  max_packing reads only
     # the cover rows, positions below nx.
     caps = [t - 1 for t in x_thresh] + [t - 1 for t in class_min_t]
     best_total, best_mask = -1, 0
-    if lo >= hi or min(caps, default=0) < 0:
+    if min(caps, default=0) < 0:
         return best_total, best_mask
     # bit b of a guess uses up budget of these rows
     hit = [[] for _ in range(nx)]
@@ -246,32 +240,25 @@ def vc_scan(x_rows, x_thresh, class_rows, class_size, class_min_t, mask_lo, mask
     mask = 0
     taken: list[int] = []  # set bits of mask, highest first
     pending: list[int] = []  # bits whose 1-branch is still to try, innermost last
-    b = nx  # bits >= b of mask are decided
+    b = nx  # bits >= b of mask are decided, the others are 0
     while True:
-        # descend along 0-branches; the node's masks [mask, mask + 2**b) meet the range
-        while b:
-            b -= 1
-            one = mask | 1 << b
-            if one < hi:
-                pending.append(b)
-            if one <= lo:  # the 0-branch [mask, one) misses the range
-                break
-        else:
-            # leaf: mask is a harmless guess in the range
-            base = len(taken)
-            # optimistic bound: every class filled to its individual limit
-            ub = base
-            for j in range(nclasses):
-                lim = class_size[j]
-                for c in class_rows[j]:
-                    if caps[c] < lim:
-                        lim = caps[c]
-                ub += lim
-            if ub > best_total:
-                total = base + max_packing(class_size, class_rows, caps)[0]
-                if total > best_total:
-                    best_total = total
-                    best_mask = mask
+        # descend along 0-branches: each bit below b stays 0 with its
+        # 1-branch still to try, and the leaf mask is a harmless guess
+        pending.extend(range(b - 1, -1, -1))
+        base = len(taken)
+        # optimistic bound: every class filled to its individual limit
+        ub = base
+        for j in range(nclasses):
+            lim = class_size[j]
+            for c in class_rows[j]:
+                if caps[c] < lim:
+                    lim = caps[c]
+            ub += lim
+        if ub > best_total:
+            total = base + max_packing(class_size, class_rows, caps)[0]
+            if total > best_total:
+                best_total = total
+                best_mask = mask
         # backtrack to the innermost 1-branch that keeps every budget
         while True:
             if not pending:

@@ -30,8 +30,7 @@ from .io import (
     dumps,
     instance_to_doc,
     load_any_instance,
-    save_instance,
-    save_instance_json,
+    save_any_instance,
 )
 from .kernelize import kernel_decision, kernelize, to_plain_kernel
 from .reduction import (
@@ -83,7 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--method", choices=("brute", "vc"), default="brute")
     p.add_argument("--cover-cap", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    # the walk runs in one process; --workers stays, accepting only 1, while
+    # perfbench/run.py passes "solve --workers 1" and its reports record
+    # config.workers
+    p.add_argument("--workers", type=int, default=1, help="accepted only as 1")
     p.add_argument("--decide", action="store_true", help="exit 1 when the size-k decision is NO")
 
     p = sub.add_parser("kernelize", parents=[common, timing], help="run the reduction-rule pipeline")
@@ -165,13 +167,15 @@ def _maybe_time(args, fn):
 
 
 def _cmd_solve(args) -> int:
+    if args.workers != 1:
+        raise InvalidArgumentError(f"--workers accepts only 1, got {args.workers}")
     instance = load_any_instance(args.input)
     if args.decide and instance.k is None:
         raise InvalidArgumentError("--decide needs a target size k in the instance")
     if args.method == "brute":
         solver = functools.partial(brute_force_max, instance, cap=args.brute_cap)
     else:
-        solver = functools.partial(vc_solve, instance, cap=args.cover_cap, workers=args.workers)
+        solver = functools.partial(vc_solve, instance, cap=args.cover_cap)
     (optimum, witness), ms = _maybe_time(args, solver)
     decision = None if instance.k is None else optimum >= instance.k
     result = {
@@ -216,11 +220,7 @@ def _cmd_kernelize(args) -> int:
         "plain": args.plain,
     }
     if args.kernel_out:
-        out = Path(args.kernel_out)
-        if out.suffix == ".json":
-            save_instance_json(kernel_instance, out)
-        else:
-            save_instance(kernel_instance, out)
+        save_any_instance(kernel_instance, args.kernel_out)
 
     def render(r):
         rep = r["report"]
@@ -240,14 +240,11 @@ def _cmd_kernelize(args) -> int:
 def _cmd_reduce_mcc(args) -> int:
     mcc = load_mcc(args.input)
     out, ms = _maybe_time(args, lambda: build_reduction(mcc))
+    roles = out.roles_doc() if args.instance_out or args.roles_out else None
     if args.instance_out:
-        path = Path(args.instance_out)
-        if path.suffix == ".json":
-            save_instance_json(out.instance, path, roles=out.roles_doc())
-        else:
-            save_instance(out.instance, path)
+        save_any_instance(out.instance, args.instance_out, roles=roles)
     if args.roles_out:
-        Path(args.roles_out).write_text(dumps(out.roles_doc()) + "\n")
+        Path(args.roles_out).write_text(dumps(roles) + "\n")
     result = {
         "k": mcc.k,
         "n": mcc.n,

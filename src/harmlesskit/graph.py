@@ -1,8 +1,8 @@
 """Graph and instance model, harmlessness semantics and threshold bookkeeping.
 
 Vertices are dense integers ``0..n-1``.  Every type here is immutable after
-construction, so instances can be shared read-only across workers; file ids
-(1-based) are translated at the I/O boundary only.
+construction, so instances can be shared read-only; file ids (1-based) are
+translated at the I/O boundary only.
 """
 
 from __future__ import annotations

@@ -208,6 +208,16 @@ def load_any_instance(path: str | Path) -> Instance:
     return load_instance(path)
 
 
+def save_any_instance(instance: Instance, path: str | Path, roles: dict | None = None) -> None:
+    """Dispatch on extension like ``load_any_instance``; the text format has
+    no place for ``roles`` and leaves them out."""
+    path = Path(path)
+    if path.suffix == ".json":
+        save_instance_json(instance, path, roles)
+    else:
+        save_instance(instance, path)
+
+
 def dumps(doc: dict) -> str:
     """Canonical JSON used for all reports: sorted keys, stable layout."""
     return json.dumps(doc, indent=2, sort_keys=True)

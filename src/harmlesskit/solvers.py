@@ -10,8 +10,6 @@ every instance.  Their searches run in the pure-Python kernels of
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -167,30 +165,14 @@ def ilp_solve(model: IlpModel) -> tuple[int, tuple[int, ...]]:
     return best, tuple(assign)
 
 
-def _scan_chunk(args):
-    payload, lo, hi = args
-    return vc_scan(*payload, lo, hi)
-
-
-def vc_solve(
-    instance: Instance,
-    *,
-    cap: Optional[int] = None,
-    workers: int = 1,
-) -> tuple[int, frozenset[int]]:
+def vc_solve(instance: Instance, *, cap: Optional[int] = None) -> tuple[int, frozenset[int]]:
     """Exact maximum harmless set, parameterised by the vertex cover.
 
     Walks the harmless guesses S inside a greedy 2-approximate cover X
     (``vc_scan``) and adds the packing optimum over the neighbourhood
     classes of the independent remainder.  The largest total wins, ties
-    keeping the smallest guess mask.  The mask range is cut into
-    min(``workers``, CPU cores, masks) chunks, each walked in a process of
-    its own (in this process when there is one chunk) and folded by the
-    same rule, so results are identical for any worker count.  ``workers``
-    below 1 and a negative ``cap`` are refused.
+    keeping the smallest guess mask.  A negative ``cap`` is refused.
     """
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
     cap = DEFAULT_COVER_CAP if cap is None else cap
     if cap < 0:
         raise InvalidArgumentError(f"the cover cap must be non-negative, got {cap}")
@@ -209,18 +191,9 @@ def vc_solve(
     class_size = [cls.size for cls in classes]
     class_min_t = [min(instance.thresholds[u] for u in cls.members) for cls in classes]
 
-    payload = (x_rows, x_thresh, _class_rows(classes, xpos), class_size, class_min_t)
-    total_masks = 1 << nx
-    # one chunk per process; every chunk holds at least one mask
-    parts = min(workers, os.cpu_count() or 1, total_masks)
-    bounds = [(total_masks * i) // parts for i in range(parts + 1)]
-    chunks = [(payload, bounds[i], bounds[i + 1]) for i in range(parts)]
-    if parts == 1:
-        results = [_scan_chunk(chunks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=parts) as pool:
-            results = list(pool.map(_scan_chunk, chunks))
-    best_total, best_mask = max(results, key=lambda tm: (tm[0], -tm[1]))
+    best_total, best_mask = vc_scan(
+        x_rows, x_thresh, _class_rows(classes, xpos), class_size, class_min_t
+    )
 
     guess = frozenset(X[i] for i in range(nx) if best_mask >> i & 1)
     model = build_ilp(instance, X, guess)

@@ -301,6 +301,8 @@ def verify_waterlily(g: Graph, lily: Waterlily, A: Optional[frozenset[int]] = No
         problems.append("centres are not a subset of the query set")
     if not C:
         problems.append("no centres")
+    if not C or R & C:
+        # the checks below walk G - R from each centre
         return problems
     for c in sorted(C):
         near = ball(g, c, 2 * lily.radius, removed=R)

@@ -376,14 +376,17 @@ def test_fuzz_count_0_exits_2(capsys, suite):
     _assert_one_line_error(capsys, ["fuzz", "--suite", suite, "--count", "0"])
 
 
-@pytest.mark.parametrize(
-    "argv", [["solve", "--method", "vc", "--workers", "0", "{f}"]], ids=["solve"]
-)
-def test_fewer_than_one_worker_exits_2(capsys, triangle, argv):
-    assert main([a.format(f=triangle) for a in argv]) == 2
+@pytest.mark.parametrize("workers", ["0", "2"])
+def test_workers_other_than_1_exits_2(capsys, triangle, workers):
+    assert main(["solve", "--method", "vc", "--workers", workers, str(triangle)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("harmlesskit: error: workers must be at least 1, got ")
-    assert err.count("\n") == 1
+    assert err == f"harmlesskit: error: --workers accepts only 1, got {workers}\n"
+
+
+def test_solve_vc_report_is_the_same_with_workers_1(capsys, triangle):
+    code, out = run(capsys, "solve", "--method", "vc", triangle)
+    assert run(capsys, "solve", "--method", "vc", "--workers", "1", triangle) == (code, out)
+    assert code == 0 and json.loads(out)["config"]["workers"] == 1
 
 
 EMPTY_TEXT = "p hs 0 0\nk 0\n"

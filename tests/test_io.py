@@ -8,6 +8,7 @@ from harmlesskit.io import (
     doc_to_instance,
     instance_to_doc,
     load_instance_json,
+    save_any_instance,
     save_instance_json,
 )
 from harmlesskit.reduction import MccInstance, load_mcc, save_mcc
@@ -98,6 +99,20 @@ def test_json_round_trip(tmp_path):
     assert load_instance_json(path) == inst
     doc = instance_to_doc(inst)
     assert doc_to_instance(doc) == inst
+
+
+@pytest.mark.parametrize("suffix", [".json", ".hs", ""])
+def test_save_any_instance_dispatches_on_the_suffix(tmp_path, suffix):
+    inst = random_instance(random.Random(2), 9, edge_prob=0.3, t_max=3, k=2)
+    roles = {"core": [0, 4]}
+    want = io.StringIO()
+    if suffix == ".json":
+        save_instance_json(inst, want, roles=roles)
+    else:
+        save_instance(inst, want)  # the text format has no place for roles
+    path = tmp_path / f"inst{suffix}"
+    save_any_instance(inst, path, roles=roles)
+    assert path.read_text() == want.getvalue()
 
 
 def test_json_rejects_malformed():

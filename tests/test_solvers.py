@@ -242,14 +242,6 @@ def test_vc_class_members_interchangeable():
                 assert is_harmless(inst, swapped)
 
 
-def test_vc_worker_invariance():
-    rng = random.Random(37)
-    inst = random_instance(rng, 11, edge_prob=0.35, t_max=5)
-    seq = vc_solve(inst, workers=1)
-    par = vc_solve(inst, workers=3)
-    assert seq == par
-
-
 def test_vc_deep_packing_has_no_recursion_limit():
     # 1001 packing levels: deeper than the interpreter's default recursion limit
     inst = deep_packing_instance()
@@ -265,7 +257,7 @@ def test_vc_walk_prunes_infeasible_guesses():
     # A scan of the 2^60 masks would not finish.
     nx = 60
     payload = ([[]] * nx, [3] * nx, [list(range(nx))], [5], [1])
-    assert vc_scan(*payload, 0, 1 << nx) == (2, 0)
+    assert vc_scan(*payload) == (2, 0)
 
 
 def test_vc_cover_above_62_vertices():
@@ -317,59 +309,3 @@ def test_vc_witness_size_check_raises(monkeypatch):
     monkeypatch.setattr(SOLVERS, "ilp_solve", lambda model: (real(model)[0], (0,) * len(model.classes)))
     with pytest.raises(InvariantError, match="witness size"):
         vc_solve(inst)
-
-
-# ---------------------------------------------------------------------------
-# the scan's process pool
-# ---------------------------------------------------------------------------
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size it is asked
-    for and maps in this process, so the test starts no process."""
-
-    sizes: list[int] = []
-    chunks: list[tuple] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        self.chunks.extend(items)
-        return map(fn, items)
-
-
-STAR4 = Instance(star(4), (2,) * 5)  # greedy cover {0, 1}: 4 guess masks
-# a 5-edge matching: greedy cover of 10 vertices, 1024 guess masks
-MATCHING5 = Instance(Graph.from_edges(10, [(2 * i, 2 * i + 1) for i in range(5)]), (2,) * 10)
-
-
-@pytest.mark.parametrize(
-    "inst, workers, cpus, chunks",
-    [
-        (STAR4, 1000, 64, [(0, 1), (1, 2), (2, 3), (3, 4)]),
-        (STAR4, 1000, 3, [(0, 1), (1, 2), (2, 4)]),
-        (STAR4, 1000, None, []),  # one core: one chunk, walked in this process
-        (MATCHING5, 10**6, 2, [(0, 512), (512, 1024)]),
-    ],
-    ids=["64-4", "3-3", "None-1", "2-2"],  # cores-chunks
-)
-def test_vc_pool_is_no_larger_than_chunks_or_cores(monkeypatch, inst, workers, cpus, chunks):
-    monkeypatch.setattr(SOLVERS, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(SOLVERS.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(RecordingPool, "chunks", [])
-    assert vc_solve(inst, workers=workers) == vc_solve(inst)
-    assert RecordingPool.sizes == ([len(chunks)] if chunks else [])
-    assert [(lo, hi) for _, lo, hi in RecordingPool.chunks] == chunks
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_vc_refuses_fewer_than_one_worker(workers):
-    with pytest.raises(InvalidArgumentError, match="workers"):
-        vc_solve(STAR4, workers=workers)

@@ -234,6 +234,21 @@ def test_waterlily_star():
     assert check_waterlily(g, lily, leaves) == []
 
 
+@pytest.mark.parametrize(
+    "lily, want",
+    [
+        (Waterlily(frozenset({1}), frozenset({1, 2}), 1, 1),
+         ["roots and centres intersect: [1]"]),
+        (Waterlily(frozenset({1}), frozenset(), 1, 1), ["no centres"]),
+    ],
+    ids=["roots-meet-centres", "no-centres"],
+)
+def test_verify_waterlily_reports_a_broken_lily(lily, want):
+    # a centre inside the roots cannot start a walk of G - R
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert verify_waterlily(g, lily) == want
+
+
 def test_waterlily_empty_query_set():
     lily = build_waterlily(star(3), frozenset(), 2, 1, 1)
     assert isinstance(lily, LilyFailure)
