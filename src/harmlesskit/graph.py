@@ -30,7 +30,7 @@ class Graph:
         if n < 0:
             raise InvalidArgumentError(f"vertex count must be non-negative, got {n}")
         seen: set[tuple[int, int]] = set()
-        neigh: list[list[int]] = [[] for _ in range(n)]
+        pairs: list[tuple[int, int]] = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidArgumentError(f"edge ({u}, {v}) uses a vertex id outside [0, {n})")
@@ -40,9 +40,8 @@ class Graph:
             if key in seen:
                 raise InvalidArgumentError(f"duplicate edge ({key[0]}, {key[1]})")
             seen.add(key)
-            neigh[u].append(v)
-            neigh[v].append(u)
-        return cls(n, tuple(tuple(sorted(ns)) for ns in neigh))
+            pairs.append(key)
+        return cls(n, _rows(n, pairs))
 
     @property
     def m(self) -> int:
@@ -81,6 +80,19 @@ class Graph:
         # the remap keeps ids in order, so every row stays sorted
         adj = tuple(tuple(remap[w] for w in self.adj[u] if w in remap) for u in kept)
         return Graph(len(kept), adj), remap
+
+
+def _rows(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency rows of the graph on ``0..n-1`` with edges ``pairs``.
+
+    The caller has checked the pairs: ids in range, no self-loop, no edge
+    twice.  ``Graph.from_edges`` and the text loader each check them once.
+    """
+    neigh: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        neigh[u].append(v)
+        neigh[v].append(u)
+    return tuple(map(tuple, map(sorted, neigh)))
 
 
 def bfs_distances(

@@ -21,12 +21,14 @@ all 1-based).
 from __future__ import annotations
 
 import json
+import math
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import IO, Union
 
 from .errors import ParseError
-from .graph import Graph, Instance
+from .graph import Graph, Instance, _rows
 
 Source = Union[str, Path, IO[str]]
 
@@ -57,39 +59,39 @@ def _int(token: str, what: str, lineno: int) -> int:
 
 
 def load_instance(source: Source) -> Instance:
-    """Parse the text format; raises ParseError with a line number on bad input."""
+    """Parse the text format; raises ParseError with a line number on bad input.
+
+    Each edge is checked once, here (ids, self-loop, duplicate), and the
+    graph's rows are built from the checked pairs without a second check.
+    """
     n = m = None
     edges: list[tuple[int, int]] = []
     edge_seen: set[tuple[int, int]] = set()
-    thresholds: dict[int, int] = {}
+    thresholds: dict[int, int] = {}  # by 1-based vertex id
     k = None
     for lineno, raw in enumerate(_read_text(source).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        # split() and strip() share one definition of whitespace, so the
+        # stripped line is needed only where a message quotes it
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         tag = parts[0]
-        if tag == "p":
-            if n is not None:
-                raise ParseError("duplicate problem header", lineno)
-            if len(parts) != 4 or parts[1] != "hs":
-                raise ParseError(f"malformed header {line!r}, expected 'p hs <n> <m>'", lineno)
-            n = _int(parts[2], "vertex count", lineno)
-            m = _int(parts[3], "edge count", lineno)
-            if n < 0 or m < 0:
-                raise ParseError("vertex and edge counts must be non-negative", lineno)
-        elif tag == "e":
+        if tag == "e":
             if n is None:
                 raise ParseError("edge line before the problem header", lineno)
             if len(parts) != 3:
-                raise ParseError(f"malformed edge line {line!r}", lineno)
-            u = _int(parts[1], "vertex id", lineno)
-            v = _int(parts[2], "vertex id", lineno)
+                raise ParseError(f"malformed edge line {raw.strip()!r}", lineno)
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:  # one of these raises, naming the bad token
+                _int(parts[1], "vertex id", lineno)
+                _int(parts[2], "vertex id", lineno)
+                raise
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"vertex id out of range 1..{n} in edge {u} {v}", lineno)
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
-            key = (min(u, v) - 1, max(u, v) - 1)
+            key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
             if key in edge_seen:
                 raise ParseError(f"duplicate edge {u} {v}", lineno)
             edge_seen.add(key)
@@ -98,19 +100,36 @@ def load_instance(source: Source) -> Instance:
             if n is None:
                 raise ParseError("threshold line before the problem header", lineno)
             if len(parts) != 3:
-                raise ParseError(f"malformed threshold line {line!r}", lineno)
-            v = _int(parts[1], "vertex id", lineno)
-            t = _int(parts[2], "threshold", lineno)
+                raise ParseError(f"malformed threshold line {raw.strip()!r}", lineno)
+            try:
+                v, t = int(parts[1]), int(parts[2])
+            except ValueError:
+                _int(parts[1], "vertex id", lineno)
+                _int(parts[2], "threshold", lineno)
+                raise
             if not 1 <= v <= n:
                 raise ParseError(f"vertex id {v} out of range 1..{n}", lineno)
             if t < 1:
                 raise ParseError(f"threshold of vertex {v} must be >= 1, got {t}", lineno)
-            if v - 1 in thresholds:
+            if v in thresholds:
                 raise ParseError(f"duplicate threshold for vertex {v}", lineno)
-            thresholds[v - 1] = t
+            thresholds[v] = t
+        elif tag[0] == "c":
+            continue
+        elif tag == "p":
+            if n is not None:
+                raise ParseError("duplicate problem header", lineno)
+            if len(parts) != 4 or parts[1] != "hs":
+                raise ParseError(
+                    f"malformed header {raw.strip()!r}, expected 'p hs <n> <m>'", lineno
+                )
+            n = _int(parts[2], "vertex count", lineno)
+            m = _int(parts[3], "edge count", lineno)
+            if n < 0 or m < 0:
+                raise ParseError("vertex and edge counts must be non-negative", lineno)
         elif tag == "k":
             if len(parts) != 2:
-                raise ParseError(f"malformed target line {line!r}", lineno)
+                raise ParseError(f"malformed target line {raw.strip()!r}", lineno)
             if k is not None:
                 raise ParseError("duplicate target line", lineno)
             k = _int(parts[1], "target size", lineno)
@@ -123,14 +142,14 @@ def load_instance(source: Source) -> Instance:
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges but {len(edges)} were given")
     if len(thresholds) < n:
-        # thresholds only holds ids below n, so the scan stops within
+        # thresholds only holds ids 1..n, so the scan stops within
         # len(thresholds) + _SHOWN_MISSING steps whatever the header says
         missing = n - len(thresholds)
-        shown = list(islice((v + 1 for v in range(n) if v not in thresholds), _SHOWN_MISSING))
+        shown = list(islice((v for v in range(1, n + 1) if v not in thresholds), _SHOWN_MISSING))
         more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
         raise ParseError(f"missing threshold for vertices {shown}{more}")
-    graph = Graph.from_edges(n, edges)
-    return Instance(graph, tuple(thresholds[v] for v in range(n)), k)
+    graph = Graph(n, _rows(n, edges))
+    return Instance(graph, tuple(map(thresholds.__getitem__, range(1, n + 1))), k)
 
 
 def save_instance(instance: Instance, target: Source) -> None:
@@ -219,5 +238,110 @@ def save_any_instance(instance: Instance, path: str | Path, roles: dict | None =
 
 
 def dumps(doc: dict) -> str:
-    """Canonical JSON used for all reports: sorted keys, stable layout."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """Canonical JSON used for all reports: sorted keys, stable layout.
+
+    The text is byte for byte that of ``json.dumps(doc, indent=2,
+    sort_keys=True)``, errors included.  With an indent the stdlib takes
+    its pure-Python encoder; this writer instead emits a list of plain ints,
+    or of ``[int, int]`` pairs (a kernel's edges), with one join.
+    """
+    return _encode(doc, "\n", set())
+
+
+_int_text = int.__repr__  # as the stdlib spells an int, also of an int subclass
+_ARRAYS = (list, tuple)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode(value, nl: str, open_ids: set[int]) -> str:
+    """``value`` as json.dumps(indent=2, sort_keys=True) writes it where
+    ``nl`` (a newline and the current indentation) ends a line.
+
+    ``open_ids`` holds the containers being written, to refuse a cycle.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_text(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, _ARRAYS):
+        return _encode_array(value, nl, open_ids)
+    if isinstance(value, dict):
+        return _encode_object(value, nl, open_ids)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _int_pairs(items) -> bool:
+    for item in items:
+        if type(item) not in _ARRAYS or len(item) != 2:
+            return False
+        if type(item[0]) is not int or type(item[1]) is not int:
+            return False
+    return True
+
+
+def _encode_array(items, nl: str, open_ids: set[int]) -> str:
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    if {*map(type, items)} == {int}:
+        body = sep.join(map(_int_text, items))
+    elif _int_pairs(items):
+        deeper = inner + "  "
+        body = sep.join([f"[{deeper}{a},{deeper}{b}{inner}]" for a, b in items])
+    else:
+        _enter(items, open_ids)
+        body = sep.join([_encode(item, inner, open_ids) for item in items])
+        open_ids.discard(id(items))
+    return f"[{inner}{body}{nl}]"
+
+
+def _encode_object(doc: dict, nl: str, open_ids: set[int]) -> str:
+    if not doc:
+        return "{}"
+    _enter(doc, open_ids)
+    inner = nl + "  "
+    fields = []
+    for key, value in sorted(doc.items()):
+        if isinstance(key, str):
+            pass
+        elif isinstance(key, float):
+            key = _float_text(key)
+        elif key is True:
+            key = "true"
+        elif key is False:
+            key = "false"
+        elif key is None:
+            key = "null"
+        elif isinstance(key, int):
+            key = _int_text(key)
+        else:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        fields.append(f"{_encode_str(key)}: {_encode(value, inner, open_ids)}")
+    open_ids.discard(id(doc))
+    return "{" + inner + ("," + inner).join(fields) + nl + "}"
+
+
+def _enter(container, open_ids: set[int]) -> None:
+    if id(container) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(container))

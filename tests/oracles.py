@@ -8,7 +8,7 @@ from-scratch BFS.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 
 def naive_is_harmless(instance, S) -> bool:
@@ -308,10 +308,10 @@ def product_cliques(mcc):
     ]
 
 
-def vc_scan_reference(x_rows, x_thresh, class_rows, class_size, class_min_t, mask_lo, mask_hi):
+def vc_scan_reference(x_rows, x_thresh, class_rows, class_size, class_min_t):
     """The cover-guess scan that the walk in ``vc_scan`` replaced: every mask
-    in ``range(mask_lo, mask_hi)`` is tested for harmlessness from scratch,
-    in ascending order, with strict improvement from ``(-1, 0)``."""
+    of the cover is tested for harmlessness from scratch, in ascending order,
+    with strict improvement from ``(-1, 0)``."""
     from harmlesskit._core._pykernels import max_packing
 
     best_total, best_mask = -1, 0
@@ -322,7 +322,7 @@ def vc_scan_reference(x_rows, x_thresh, class_rows, class_size, class_min_t, mas
     nclasses = len(class_mask)
     caps = [0] * nx
 
-    for mask in range(mask_lo, mask_hi):
+    for mask in range(1 << nx):
         ok = True
         for i in range(nx):
             used = (xnbr_mask[i] & mask).bit_count()
@@ -543,3 +543,89 @@ def reference_kernelize(instance, p=None):
         steps=tuple(steps),
     )
     return ann, report.to_doc()
+
+
+def reference_load_instance(text: str):
+    """The text loader as it was before it checked each edge once: it strips
+    every line before splitting it, and ``Graph.from_edges`` checks the
+    edges a second time, with a second set of seen pairs."""
+    from harmlesskit.errors import ParseError
+    from harmlesskit.graph import Graph, Instance
+
+    def parse_int(token, what, lineno):
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"expected an integer {what}, got {token!r}", lineno) from None
+
+    n = m = None
+    edges = []
+    edge_seen = set()
+    thresholds = {}
+    k = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        tag = parts[0]
+        if tag == "p":
+            if n is not None:
+                raise ParseError("duplicate problem header", lineno)
+            if len(parts) != 4 or parts[1] != "hs":
+                raise ParseError(f"malformed header {line!r}, expected 'p hs <n> <m>'", lineno)
+            n = parse_int(parts[2], "vertex count", lineno)
+            m = parse_int(parts[3], "edge count", lineno)
+            if n < 0 or m < 0:
+                raise ParseError("vertex and edge counts must be non-negative", lineno)
+        elif tag == "e":
+            if n is None:
+                raise ParseError("edge line before the problem header", lineno)
+            if len(parts) != 3:
+                raise ParseError(f"malformed edge line {line!r}", lineno)
+            u = parse_int(parts[1], "vertex id", lineno)
+            v = parse_int(parts[2], "vertex id", lineno)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"vertex id out of range 1..{n} in edge {u} {v}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            key = (min(u, v) - 1, max(u, v) - 1)
+            if key in edge_seen:
+                raise ParseError(f"duplicate edge {u} {v}", lineno)
+            edge_seen.add(key)
+            edges.append(key)
+        elif tag == "t":
+            if n is None:
+                raise ParseError("threshold line before the problem header", lineno)
+            if len(parts) != 3:
+                raise ParseError(f"malformed threshold line {line!r}", lineno)
+            v = parse_int(parts[1], "vertex id", lineno)
+            t = parse_int(parts[2], "threshold", lineno)
+            if not 1 <= v <= n:
+                raise ParseError(f"vertex id {v} out of range 1..{n}", lineno)
+            if t < 1:
+                raise ParseError(f"threshold of vertex {v} must be >= 1, got {t}", lineno)
+            if v - 1 in thresholds:
+                raise ParseError(f"duplicate threshold for vertex {v}", lineno)
+            thresholds[v - 1] = t
+        elif tag == "k":
+            if len(parts) != 2:
+                raise ParseError(f"malformed target line {line!r}", lineno)
+            if k is not None:
+                raise ParseError("duplicate target line", lineno)
+            k = parse_int(parts[1], "target size", lineno)
+            if k < 0:
+                raise ParseError("target size k must be non-negative", lineno)
+        else:
+            raise ParseError(f"unknown line tag {tag!r}", lineno)
+    if n is None:
+        raise ParseError("missing 'p hs <n> <m>' header")
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges but {len(edges)} were given")
+    if len(thresholds) < n:
+        missing = n - len(thresholds)
+        shown = list(islice((v + 1 for v in range(n) if v not in thresholds), 5))
+        more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
+        raise ParseError(f"missing threshold for vertices {shown}{more}")
+    graph = Graph.from_edges(n, edges)
+    return Instance(graph, tuple(thresholds[v] for v in range(n)), k)
