@@ -208,19 +208,20 @@ def vc_scan(x_rows, x_thresh, class_rows, class_size, class_min_t):
     (the positions in ``x_rows[i]``) and every class j fewer than
     ``class_min_t[j]`` roots in S (the positions in ``class_rows[j]``).
     For each harmless guess the residual packing program over the
-    neighbourhood classes is solved exactly.  Returns
-    ``(best_total, best_mask)``: the largest total, ties favouring the
-    smaller mask (guesses are visited in ascending order and improvement is
-    strict), or ``(-1, 0)`` when no guess is harmless.
+    neighbourhood classes is solved exactly.  Returns ``(best_total,
+    best_mask, best_assign)``: the largest total, ties favouring the smaller
+    mask (guesses are visited in ascending order and improvement is
+    strict), and the ``max_packing`` assignment of that guess, one value per
+    class; or ``(-1, 0, [])`` when no guess is harmless.
 
-    Depth-first walk without recursion, one level per cover bit, deciding
-    bit nx-1 first and taking the 0-branch before the 1-branch, so guesses
-    come in ascending order.  Cover vertex i has budget row i and class j
-    row nx + j: a class limits a guess exactly as one more cover vertex
-    would.  The residual budgets are updated as bits are set and restored on
-    backtrack.  A 1-branch is entered only while every budget it touches
-    stays non-negative: harmlessness is closed under taking subsets, so a
-    refused branch holds no harmless guess.
+    The walk steps from one harmless guess to the next as in binary
+    counting: it clears the trailing set bits and sets the lowest clear bit
+    that keeps every budget it touches non-negative.  A bit that would break
+    a budget is skipped, and every guess holding it with the same higher
+    bits too: harmlessness is closed under taking subsets.  Cover vertex i
+    has budget row i and class j row nx + j: a class limits a guess exactly
+    as one more cover vertex would.  The residual budgets are updated as
+    bits are set and restored as they are cleared.
     """
     nx = len(x_rows)
     nclasses = len(class_rows)
@@ -228,24 +229,18 @@ def vc_scan(x_rows, x_thresh, class_rows, class_size, class_min_t):
     # a negative value means no guess is harmless.  max_packing reads only
     # the cover rows, positions below nx.
     caps = [t - 1 for t in x_thresh] + [t - 1 for t in class_min_t]
-    best_total, best_mask = -1, 0
+    best_total, best_mask, best_assign = -1, 0, []
     if min(caps, default=0) < 0:
-        return best_total, best_mask
+        return best_total, best_mask, best_assign
     # bit b of a guess uses up budget of these rows
     hit = [[] for _ in range(nx)]
     for r, row in enumerate([*x_rows, *class_rows]):
         for b in row:
             hit[b].append(r)
 
-    mask = 0
-    taken: list[int] = []  # set bits of mask, highest first
-    pending: list[int] = []  # bits whose 1-branch is still to try, innermost last
-    b = nx  # bits >= b of mask are decided, the others are 0
+    mask = 0  # a harmless guess, caps holding its residual budgets
     while True:
-        # descend along 0-branches: each bit below b stays 0 with its
-        # 1-branch still to try, and the leaf mask is a harmless guess
-        pending.extend(range(b - 1, -1, -1))
-        base = len(taken)
+        base = mask.bit_count()
         # optimistic bound: every class filled to its individual limit
         ub = base
         for j in range(nclasses):
@@ -255,23 +250,22 @@ def vc_scan(x_rows, x_thresh, class_rows, class_size, class_min_t):
                     lim = caps[c]
             ub += lim
         if ub > best_total:
-            total = base + max_packing(class_size, class_rows, caps)[0]
-            if total > best_total:
-                best_total = total
-                best_mask = mask
-        # backtrack to the innermost 1-branch that keeps every budget
+            packed, assign = max_packing(class_size, class_rows, caps)
+            if base + packed > best_total:
+                best_total, best_mask, best_assign = base + packed, mask, assign
+        # the next harmless guess: carry past the set bits and the clear
+        # bits that would break a budget, then set the bit found
+        b = 0
         while True:
-            if not pending:
-                return best_total, best_mask
-            b = pending.pop()
-            while taken and taken[-1] < b:
-                u = taken.pop()
-                mask ^= 1 << u
-                for r in hit[u]:
+            if b == nx:
+                return best_total, best_mask, best_assign
+            if mask >> b & 1:
+                mask ^= 1 << b
+                for r in hit[b]:
                     caps[r] += 1
-            if all(caps[r] > 0 for r in hit[b]):
+            elif all(caps[r] > 0 for r in hit[b]):
                 break
+            b += 1
         mask |= 1 << b
-        taken.append(b)
         for r in hit[b]:
             caps[r] -= 1

@@ -171,7 +171,10 @@ def vc_solve(instance: Instance, *, cap: Optional[int] = None) -> tuple[int, fro
     Walks the harmless guesses S inside a greedy 2-approximate cover X
     (``vc_scan``) and adds the packing optimum over the neighbourhood
     classes of the independent remainder.  The largest total wins, ties
-    keeping the smallest guess mask.  A negative ``cap`` is refused.
+    keeping the smallest guess mask.  The witness is that guess plus the
+    first members of each class, as many as the walk's own packing of the
+    guess takes: no program is rebuilt or solved again.  A negative ``cap``
+    is refused.
     """
     cap = DEFAULT_COVER_CAP if cap is None else cap
     if cap < 0:
@@ -191,19 +194,13 @@ def vc_solve(instance: Instance, *, cap: Optional[int] = None) -> tuple[int, fro
     class_size = [cls.size for cls in classes]
     class_min_t = [min(instance.thresholds[u] for u in cls.members) for cls in classes]
 
-    best_total, best_mask = vc_scan(
+    best_total, best_mask, best_assign = vc_scan(
         x_rows, x_thresh, _class_rows(classes, xpos), class_size, class_min_t
     )
 
-    guess = frozenset(X[i] for i in range(nx) if best_mask >> i & 1)
-    model = build_ilp(instance, X, guess)
-    if model is None:
-        raise InvariantError("the optimal guess produced an infeasible model")
-    packed, assign = ilp_solve(model)
-    if len(guess) + packed != best_total:
-        raise InvariantError("scan and rebuild disagree on the optimum")
-    witness = set(guess)
-    for cls, x in zip(model.classes, assign):
+    # the best guess plus the first x members of each class, x as packed
+    witness = {X[i] for i in range(nx) if best_mask >> i & 1}
+    for cls, x in zip(classes, best_assign):
         witness.update(cls.members[:x])
     witness_set = frozenset(witness)
     if not is_harmless(instance, witness_set):

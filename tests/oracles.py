@@ -311,10 +311,11 @@ def product_cliques(mcc):
 def vc_scan_reference(x_rows, x_thresh, class_rows, class_size, class_min_t):
     """The cover-guess scan that the walk in ``vc_scan`` replaced: every mask
     of the cover is tested for harmlessness from scratch, in ascending order,
-    with strict improvement from ``(-1, 0)``."""
+    with strict improvement from ``(-1, 0, [])``; an improving mask keeps its
+    ``max_packing`` assignment."""
     from harmlesskit._core._pykernels import max_packing
 
-    best_total, best_mask = -1, 0
+    best_total, best_mask, best_assign = -1, 0, []
 
     xnbr_mask = [sum(1 << b for b in row) for row in x_rows]
     class_mask = [sum(1 << b for b in row) for row in class_rows]
@@ -349,11 +350,10 @@ def vc_scan_reference(x_rows, x_thresh, class_rows, class_size, class_min_t):
             ub += lim
         if ub <= best_total:
             continue
-        total = base + max_packing(class_size, class_rows, caps)[0]
-        if total > best_total:
-            best_total = total
-            best_mask = mask
-    return best_total, best_mask
+        packed, assign = max_packing(class_size, class_rows, caps)
+        if base + packed > best_total:
+            best_total, best_mask, best_assign = base + packed, mask, assign
+    return best_total, best_mask, best_assign
 
 
 def per_pair_edges(mcc, i, j):

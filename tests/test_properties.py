@@ -1,7 +1,9 @@
 """Property-based invariants over randomly drawn instances."""
 
+import importlib
 import random
 from itertools import combinations
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from harmlesskit import (
     projection_profile,
     r_projection,
     shrink_graph_step,
+    vc_solve,
 )
 from harmlesskit._core._pykernels import max_harmless, vc_scan
 from harmlesskit.kernelize import _lily_targets, _twin_removals
@@ -315,6 +318,40 @@ def vc_scan_calls(draw):
 @given(vc_scan_calls())
 def test_vc_walk_matches_scan_reference(payload):
     assert vc_scan(*payload) == vc_scan_reference(*payload)
+
+
+SOLVERS = importlib.import_module("harmlesskit.solvers")
+
+
+@st.composite
+def cover_instances(draw, max_n=14):
+    """Sparse to dense graphs, so that covers leave classes of every size."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.1, 0.2, 0.4, 0.7]))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+    thresholds = tuple(rnd.randint(1, 4) for _ in range(n))
+    return Instance(Graph.from_edges(n, edges), thresholds)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(cover_instances())
+def test_single_guess_model_matches_the_walk(inst):
+    # at the walk's best guess the public model has the walk's optimum and
+    # its assignment, so vc_solve's witness needs no rebuild
+    walks = []
+
+    def recording_scan(*args):
+        walks.append(vc_scan(*args))
+        return walks[-1]
+
+    with mock.patch.object(SOLVERS, "vc_scan", recording_scan):
+        vc_solve(inst)
+    (best_total, best_mask, best_assign), = walks
+    X = sorted(greedy_vertex_cover(inst.graph))
+    guess = frozenset(v for i, v in enumerate(X) if best_mask >> i & 1)
+    model = build_ilp(inst, X, guess)
+    assert ilp_solve(model) == (best_total - len(guess), tuple(best_assign))
 
 
 @st.composite

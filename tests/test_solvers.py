@@ -257,7 +257,9 @@ def test_vc_walk_prunes_infeasible_guesses():
     # A scan of the 2^60 masks would not finish.
     nx = 60
     payload = ([[]] * nx, [3] * nx, [list(range(nx))], [5], [1])
-    assert vc_scan(*payload) == (2, 0)
+    assert vc_scan(*payload) == (2, 0, [2])
+    # threshold 0 leaves no room even for the empty guess
+    assert vc_scan([[]], [0], [], [], []) == (-1, 0, [])
 
 
 def test_vc_cover_above_62_vertices():
@@ -291,10 +293,8 @@ SOLVERS = importlib.import_module("harmlesskit.solvers")
     [
         (brute_force_max, "is_harmless", lambda instance, S: False, "non-harmless witness"),
         (vc_solve, "is_harmless", lambda instance, S: False, "harmlessness check"),
-        (vc_solve, "build_ilp", lambda instance, X, guess: None, "infeasible model"),
-        (vc_solve, "ilp_solve", lambda model: (10**6, ()), "disagree on the optimum"),
     ],
-    ids=["brute-witness", "vc-witness", "vc-model", "vc-rebuild"],
+    ids=["brute-witness", "vc-witness"],
 )
 def test_solver_self_checks_raise(monkeypatch, solve, attr, fake, message):
     inst = Instance(star(4), (2,) * 5)
@@ -304,8 +304,35 @@ def test_solver_self_checks_raise(monkeypatch, solve, attr, fake, message):
 
 
 def test_vc_witness_size_check_raises(monkeypatch):
+    # the walk's total and mask, but a packing that takes no class member
     inst = Instance(star(4), (2,) * 5)
-    real = SOLVERS.ilp_solve
-    monkeypatch.setattr(SOLVERS, "ilp_solve", lambda model: (real(model)[0], (0,) * len(model.classes)))
+    real = SOLVERS.vc_scan
+
+    def empty_packing(*args):
+        total, mask, assign = real(*args)
+        return total, mask, [0] * len(assign)
+
+    monkeypatch.setattr(SOLVERS, "vc_scan", empty_packing)
     with pytest.raises(InvariantError, match="witness size"):
         vc_solve(inst)
+
+
+def _raise(*args):
+    raise AssertionError("vc_solve must not rebuild the packing program")
+
+
+def test_vc_solves_the_packing_program_once(monkeypatch):
+    # vc_solve's witness comes from the walk's own packing: with the
+    # single-guess model unusable it still returns the same optima and
+    # witnesses
+    for attr in ("build_ilp", "ilp_solve", "residual_budget"):
+        monkeypatch.setattr(SOLVERS, attr, _raise)
+    assert vc_solve(Instance(P3, (2, 2, 2))) == (2, frozenset({1, 2}))
+    assert vc_solve(Instance(P3, (1, 1, 1))) == (0, frozenset())
+    for leaves in range(2, 6):
+        inst = Instance(star(leaves), (2,) * (leaves + 1))
+        assert vc_solve(inst) == (2, frozenset({0, 2}))
+    assert vc_solve(deep_packing_instance()) == (1001, frozenset(range(14, 14 + 1001)))
+    edges = [(2 * i, 2 * i + 1) for i in range(32)] + [(c, 64 + c) for c in range(64)]
+    inst = Instance(Graph.from_edges(128, edges), (2,) * 64 + (1,) * 64)
+    assert vc_solve(inst, cap=70) == (64, frozenset(range(64, 128)))
