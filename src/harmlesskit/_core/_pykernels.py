@@ -1,5 +1,6 @@
-"""The search kernels: brute-force branch and bound, the packing solver and
-the walk over the vertex-cover guesses.
+"""The search kernels: brute-force branch and bound, and the packing search
+that also solves the vertex-cover program, its cover guesses as 0/1
+variables.
 
 They take the lists the solvers in ``harmlesskit.solvers`` already hold:
 adjacency rows, thresholds, and one row of capacity positions per class.
@@ -145,20 +146,21 @@ def max_harmless(adj, thresholds, candidates):
             return best, sorted(best_set)
 
 
-def max_packing(class_size, rows, caps):
+def max_packing(class_size, rows, caps, *, guesses=0):
     """Exact packing: maximise sum(x_j) with 0 <= x_j <= class_size[j] and,
-    for every capacity c, the x_j of the classes listing c (``rows[j]``
-    holds class j's capacity positions) summing to at most caps[c].
+    for every capacity c, the x_j of the variables listing c (``rows[j]``
+    holds variable j's capacity positions) summing to at most caps[c].
 
     Depth-first branch and bound without recursion: the partial assignment
-    is the stack, one level per class, and each level counts its value down
-    from the class limit clipped by the current capacities to 0.  A node is
-    cut when the optimistic bound (every remaining class filled to its
+    is the stack, one level per variable.  Each level counts its value down
+    from the variable's limit clipped by the current capacities to 0, except
+    the first ``guesses`` levels, 0/1 variables that try 0 before 1.  A node
+    is cut when the optimistic bound (every remaining variable filled to its
     clipped limit) cannot beat the incumbent.  Improvement is strict, so the
     first optimum in this order is kept.  ``caps`` is restored before
     returning.  Returns ``(value, assignment)``.
     """
-    nclasses = len(class_size)
+    nvars = len(class_size)
 
     def limit(j):
         lim = class_size[j]
@@ -172,24 +174,41 @@ def max_packing(class_size, rows, caps):
             caps[c] -= x
 
     best = 0
-    best_assign = [0] * nclasses
-    assign = [0] * nclasses  # levels at or below the current node are 0
+    best_assign = [0] * nvars
+    assign = [0] * nvars  # levels at or below the current node are 0
     acc = 0
     i = 0  # depth of the node being entered
     while True:
         if acc > best:
             best = acc
             best_assign = assign.copy()
-        if i < nclasses and acc + sum(limit(j) for j in range(i, nclasses)) > best:
-            x = limit(i)  # first child: the largest value
+        # optimistic bound: every remaining variable filled to its clipped
+        # limit.  Limits are never negative, so summing stops once the bound
+        # beats the incumbent (inlined: this is the search's hot loop)
+        ub = acc
+        j = i
+        while ub <= best and j < nvars:
+            lim = class_size[j]
+            for c in rows[j]:
+                if caps[c] < lim:
+                    lim = caps[c]
+            ub += lim
+            j += 1
+        if ub > best:
+            x = 0 if i < guesses else limit(i)  # first child
         else:
-            # pop finished levels until one still has a smaller value to try
+            # pop finished levels until one still has another value to try
             while i:
                 i -= 1
                 x = assign[i]
                 take(i, -x)
                 acc -= x
-                if x:
+                if i < guesses:
+                    if not x and limit(i):
+                        x = 1
+                        break
+                    assign[i] = 0
+                elif x:
                     x -= 1
                     break
             else:
@@ -201,71 +220,39 @@ def max_packing(class_size, rows, caps):
 
 
 def vc_scan(x_rows, x_thresh, class_rows, class_size, class_min_t):
-    """Walk the harmless cover guesses and fold the best total.
+    """Solve the cover program: the best harmless cover guess and packing.
 
     Bit b of a guess stands for cover position b.  A guess S is harmless
     when every cover vertex i has fewer than ``x_thresh[i]`` neighbours in S
     (the positions in ``x_rows[i]``) and every class j fewer than
     ``class_min_t[j]`` roots in S (the positions in ``class_rows[j]``).
-    For each harmless guess the residual packing program over the
-    neighbourhood classes is solved exactly.  Returns ``(best_total,
-    best_mask, best_assign)``: the largest total, ties favouring the smaller
-    mask (guesses are visited in ascending order and improvement is
-    strict), and the ``max_packing`` assignment of that guess, one value per
-    class; or ``(-1, 0, [])`` when no guess is harmless.
+    Returns ``(best_total, best_mask, best_assign)``: the largest |S| plus
+    the packing over the neighbourhood classes left by S, ties favouring the
+    smaller mask, and the packed value of each class; or ``(-1, 0, [])``
+    when a budget is negative from the start, so that no guess is harmless.
 
-    The walk steps from one harmless guess to the next as in binary
-    counting: it clears the trailing set bits and sets the lowest clear bit
-    that keeps every budget it touches non-negative.  A bit that would break
-    a budget is skipped, and every guess holding it with the same higher
-    bits too: harmlessness is closed under taking subsets.  Cover vertex i
-    has budget row i and class j row nx + j: a class limits a guess exactly
-    as one more cover vertex would.  The residual budgets are updated as
-    bits are set and restored as they are cleared.
+    The guesses are 0/1 variables of the one ``max_packing`` search, listed
+    highest bit first and tried clear before set, so guesses are visited in
+    ascending mask order.  Cover vertex i has budget row i and class j row
+    nx + j: bit b uses up a unit of every row that lists it, and a class
+    limits a guess exactly as one more cover vertex would.  Class j's
+    variable uses up the cover rows ``class_rows[j]``.
     """
     nx = len(x_rows)
-    nclasses = len(class_rows)
     # caps[r]: how many more guessed neighbours (roots) budget row r takes;
-    # a negative value means no guess is harmless.  max_packing reads only
-    # the cover rows, positions below nx.
+    # a negative value means no guess is harmless
     caps = [t - 1 for t in x_thresh] + [t - 1 for t in class_min_t]
-    best_total, best_mask, best_assign = -1, 0, []
     if min(caps, default=0) < 0:
-        return best_total, best_mask, best_assign
+        return -1, 0, []
     # bit b of a guess uses up budget of these rows
     hit = [[] for _ in range(nx)]
     for r, row in enumerate([*x_rows, *class_rows]):
         for b in row:
             hit[b].append(r)
-
-    mask = 0  # a harmless guess, caps holding its residual budgets
-    while True:
-        base = mask.bit_count()
-        # optimistic bound: every class filled to its individual limit
-        ub = base
-        for j in range(nclasses):
-            lim = class_size[j]
-            for c in class_rows[j]:
-                if caps[c] < lim:
-                    lim = caps[c]
-            ub += lim
-        if ub > best_total:
-            packed, assign = max_packing(class_size, class_rows, caps)
-            if base + packed > best_total:
-                best_total, best_mask, best_assign = base + packed, mask, assign
-        # the next harmless guess: carry past the set bits and the clear
-        # bits that would break a budget, then set the bit found
-        b = 0
-        while True:
-            if b == nx:
-                return best_total, best_mask, best_assign
-            if mask >> b & 1:
-                mask ^= 1 << b
-                for r in hit[b]:
-                    caps[r] += 1
-            elif all(caps[r] > 0 for r in hit[b]):
-                break
-            b += 1
-        mask |= 1 << b
-        for r in hit[b]:
-            caps[r] -= 1
+    best_total, assign = max_packing(
+        [1] * nx + class_size, hit[::-1] + class_rows, caps, guesses=nx
+    )
+    best_mask = 0
+    for x in assign[:nx]:
+        best_mask = best_mask << 1 | x
+    return best_total, best_mask, assign[nx:]

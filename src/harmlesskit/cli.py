@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--method", choices=("brute", "vc"), default="brute")
     p.add_argument("--cover-cap", type=int, default=None)
-    # the walk runs in one process; --workers stays, accepting only 1, while
-    # perfbench/run.py passes "solve --workers 1" and its reports record
+    # the cover search runs in one process; --workers stays, accepting only 1,
+    # while perfbench/run.py passes "solve --workers 1" and its reports record
     # config.workers
     p.add_argument("--workers", type=int, default=1, help="accepted only as 1")
     p.add_argument("--decide", action="store_true", help="exit 1 when the size-k decision is NO")

@@ -20,7 +20,8 @@ from .graph import Graph, Instance, compute_core, is_harmless, residual_budget
 DEFAULT_BRUTE_CAP = 24
 DEFAULT_COVER_CAP = 22
 # Most neighbourhood classes vc_solve accepts: the packing search keeps one
-# stack level per class and every node's bound is a pass over all of them.
+# stack level per cover guess bit and per class (nx + classes levels), and
+# a node's bound is a pass over the levels below it.
 _MAX_CLASSES = 10_000
 
 
@@ -168,13 +169,13 @@ def ilp_solve(model: IlpModel) -> tuple[int, tuple[int, ...]]:
 def vc_solve(instance: Instance, *, cap: Optional[int] = None) -> tuple[int, frozenset[int]]:
     """Exact maximum harmless set, parameterised by the vertex cover.
 
-    Walks the harmless guesses S inside a greedy 2-approximate cover X
-    (``vc_scan``) and adds the packing optimum over the neighbourhood
-    classes of the independent remainder.  The largest total wins, ties
-    keeping the smallest guess mask.  The witness is that guess plus the
-    first members of each class, as many as the walk's own packing of the
-    guess takes: no program is rebuilt or solved again.  A negative ``cap``
-    is refused.
+    Guesses the solution's part S inside a greedy 2-approximate cover X and
+    packs the neighbourhood classes of the independent remainder, both in
+    one packing search (``vc_scan``) whose guess bits are 0/1 variables.
+    The largest total wins, ties keeping the smallest guess mask.  The
+    witness is that guess plus the first members of each class, as many as
+    the search packed for it: no program is rebuilt or solved again.  A
+    negative ``cap`` is refused.
     """
     cap = DEFAULT_COVER_CAP if cap is None else cap
     if cap < 0:

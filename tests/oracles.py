@@ -309,9 +309,9 @@ def product_cliques(mcc):
 
 
 def vc_scan_reference(x_rows, x_thresh, class_rows, class_size, class_min_t):
-    """The cover-guess scan that the walk in ``vc_scan`` replaced: every mask
-    of the cover is tested for harmlessness from scratch, in ascending order,
-    with strict improvement from ``(-1, 0, [])``; an improving mask keeps its
+    """The per-mask scan that ``vc_scan`` must match: every mask of the
+    cover is tested for harmlessness from scratch, in ascending order, with
+    strict improvement from ``(-1, 0, [])``; an improving mask keeps its
     ``max_packing`` assignment."""
     from harmlesskit._core._pykernels import max_packing
 

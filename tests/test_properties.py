@@ -337,7 +337,7 @@ def cover_instances(draw, max_n=14):
 @settings(max_examples=300, derandomize=True)
 @given(cover_instances())
 def test_single_guess_model_matches_the_walk(inst):
-    # at the walk's best guess the public model has the walk's optimum and
+    # at the search's best guess the public model has the search's optimum and
     # its assignment, so vc_solve's witness needs no rebuild
     walks = []
 

@@ -250,22 +250,58 @@ def test_vc_deep_packing_has_no_recursion_limit():
     assert witness == frozenset(range(14, 14 + 1001))
 
 
+# 60 cover bits and one class rooted at every bit with min_t = 1: every
+# non-empty guess activates the class, so only the empty guess is harmless.
+# Its packing optimum is min(class size, cover budget) = 2.  A scan of the
+# 2^60 masks would not finish.
+WIDE_PAYLOAD = ([[]] * 60, [3] * 60, [list(range(60))], [5], [1])
+
+
 def test_vc_walk_prunes_infeasible_guesses():
-    # 60 cover bits and one class rooted at every bit with min_t = 1: every
-    # non-empty guess activates the class, so only the empty guess is
-    # harmless.  Its packing optimum is min(class size, cover budget) = 2.
-    # A scan of the 2^60 masks would not finish.
-    nx = 60
-    payload = ([[]] * nx, [3] * nx, [list(range(nx))], [5], [1])
-    assert vc_scan(*payload) == (2, 0, [2])
+    assert vc_scan(*WIDE_PAYLOAD) == (2, 0, [2])
     # threshold 0 leaves no room even for the empty guess
     assert vc_scan([[]], [0], [], [], []) == (-1, 0, [])
+
+
+def test_vc_scan_ties_keep_the_smallest_mask():
+    # guesses {0} and {1} both total 1; {0, 1} breaks the class budget
+    assert vc_scan([[], []], [2, 2], [[0, 1]], [0], [2]) == (1, 1, [0])
+    # every one-bit guess plus the class member totals 2
+    assert vc_scan([[], [], []], [2, 2, 2], [[0, 1, 2]], [1], [2]) == (2, 1, [1])
+
+
+def _seeded_cover_instance(rng, cover, leaves, extra):
+    """A graph whose greedy matching cover is exactly the first ``cover``
+    ids: the matching (2i, 2i+1) comes first in sorted edge order, ``extra``
+    more edges join cover vertices and each leaf hangs off one cover vertex.
+    Cover thresholds are half 3 and half 4, leaf thresholds half 1 and half
+    2, each list shuffled."""
+    matching = [(i, i + 1) for i in range(0, cover, 2)]
+    others = [(u, v) for u, v in combinations(range(cover), 2) if (u, v) not in matching]
+    edges = matching + rng.sample(others, extra)
+    edges += [(rng.randrange(cover), leaf) for leaf in range(cover, cover + leaves)]
+    thresholds = []
+    for count, low in ((cover, 3), (leaves, 1)):
+        part = [low] * round(count / 2) + [low + 1] * (count - round(count / 2))
+        rng.shuffle(part)
+        thresholds += part
+    return Instance(Graph.from_edges(cover + leaves, edges), tuple(thresholds))
+
+
+def test_vc_matches_brute_force_at_the_cover_cap():
+    rng = random.Random(23)
+    for cover, leaves in ((20, 16), (20, 20), (20, 24), (22, 16), (22, 20), (22, 24)):
+        inst = _seeded_cover_instance(rng, cover, leaves, 20)
+        assert len(greedy_vertex_cover(inst.graph)) == cover
+        size, witness = vc_solve(inst)
+        assert size == brute_force_max(inst, cap=60)[0]
+        assert is_harmless(inst, witness) and len(witness) == size
 
 
 def test_vc_cover_above_62_vertices():
     # a 32-edge matching with a threshold-1 leaf on each of its 64 cover
     # vertices: guess masks are Python ints, so no cover width is refused,
-    # and the walk visits only the empty guess
+    # and the search sets no guess bit
     edges = [(2 * i, 2 * i + 1) for i in range(32)] + [(c, 64 + c) for c in range(64)]
     inst = Instance(Graph.from_edges(128, edges), (2,) * 64 + (1,) * 64)
     assert len(greedy_vertex_cover(inst.graph)) == 64
@@ -304,7 +340,7 @@ def test_solver_self_checks_raise(monkeypatch, solve, attr, fake, message):
 
 
 def test_vc_witness_size_check_raises(monkeypatch):
-    # the walk's total and mask, but a packing that takes no class member
+    # the search's total and mask, but a packing that takes no class member
     inst = Instance(star(4), (2,) * 5)
     real = SOLVERS.vc_scan
 
@@ -321,18 +357,48 @@ def _raise(*args):
     raise AssertionError("vc_solve must not rebuild the packing program")
 
 
+def _packing_once_cases():
+    """(instance, cover cap, vc_solve's result) on a path, stars, the deep
+    packing instance and a 64-vertex cover."""
+    cases = [
+        (Instance(P3, (2, 2, 2)), None, (2, frozenset({1, 2}))),
+        (Instance(P3, (1, 1, 1)), None, (0, frozenset())),
+    ]
+    for leaves in range(2, 6):
+        cases.append((Instance(star(leaves), (2,) * (leaves + 1)), None, (2, frozenset({0, 2}))))
+    cases.append((deep_packing_instance(), None, (1001, frozenset(range(14, 14 + 1001)))))
+    edges = [(2 * i, 2 * i + 1) for i in range(32)] + [(c, 64 + c) for c in range(64)]
+    inst = Instance(Graph.from_edges(128, edges), (2,) * 64 + (1,) * 64)
+    cases.append((inst, 70, (64, frozenset(range(64, 128)))))
+    return cases
+
+
 def test_vc_solves_the_packing_program_once(monkeypatch):
-    # vc_solve's witness comes from the walk's own packing: with the
+    # vc_solve's witness comes from the search's own packing: with the
     # single-guess model unusable it still returns the same optima and
     # witnesses
     for attr in ("build_ilp", "ilp_solve", "residual_budget"):
         monkeypatch.setattr(SOLVERS, attr, _raise)
-    assert vc_solve(Instance(P3, (2, 2, 2))) == (2, frozenset({1, 2}))
-    assert vc_solve(Instance(P3, (1, 1, 1))) == (0, frozenset())
-    for leaves in range(2, 6):
-        inst = Instance(star(leaves), (2,) * (leaves + 1))
-        assert vc_solve(inst) == (2, frozenset({0, 2}))
-    assert vc_solve(deep_packing_instance()) == (1001, frozenset(range(14, 14 + 1001)))
-    edges = [(2 * i, 2 * i + 1) for i in range(32)] + [(c, 64 + c) for c in range(64)]
-    inst = Instance(Graph.from_edges(128, edges), (2,) * 64 + (1,) * 64)
-    assert vc_solve(inst, cap=70) == (64, frozenset(range(64, 128)))
+    for inst, cap, expected in _packing_once_cases():
+        assert vc_solve(inst, cap=cap) == expected
+
+
+def test_vc_runs_one_packing_search(monkeypatch):
+    # the cover guesses are variables of the packing search, not a walk
+    # that starts a search per guess
+    kernels = importlib.import_module("harmlesskit._core._pykernels")
+    real = kernels.max_packing
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "max_packing", counted)
+    for inst, cap, expected in _packing_once_cases():
+        calls.clear()
+        assert vc_solve(inst, cap=cap) == expected
+        assert len(calls) == 1
+    calls.clear()
+    assert vc_scan(*WIDE_PAYLOAD) == (2, 0, [2])
+    assert len(calls) == 1
