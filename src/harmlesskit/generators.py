@@ -20,17 +20,13 @@ def gnp_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 
 def bounded_degree_graph(rng: random.Random, n: int, max_degree: int = 3) -> Graph:
-    """Random graph with maximum degree bounded: shuffled pairs, greedy accept."""
-    pairs = list(combinations(range(n), 2))
-    rng.shuffle(pairs)
-    degree = [0] * n
-    edges = []
-    for u, v in pairs:
-        if degree[u] < max_degree and degree[v] < max_degree:
-            degree[u] += 1
-            degree[v] += 1
-            edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    """Random graph with maximum degree bounded, in linear time: ``max_degree``
+    stubs per vertex, shuffled and paired in order, with loops and repeated
+    pairs dropped."""
+    stubs = [v for v in range(n) for _ in range(max_degree)]
+    rng.shuffle(stubs)
+    pairs = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2]) if u != v}
+    return Graph.from_edges(n, sorted(pairs))
 
 
 def grid_graph(rows: int, cols: int) -> Graph:

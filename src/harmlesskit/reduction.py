@@ -78,14 +78,11 @@ class MccInstance:
         """Sorted (x, y) pairs between colours i < j."""
         return list(self._edges_by_pair.get((i, j), ()))
 
-    def _missing_pair_walk(self) -> Iterator[tuple[int, int]]:
-        """The colour pairs i < j without an edge, lazily, in lexicographic order."""
+    def missing_pairs(self) -> Iterator[tuple[int, int]]:
+        """The colour pairs i < j without an edge, lazily, in lexicographic
+        order: a header alone can declare C(k, 2) of them."""
         groups = self._edges_by_pair
         return (p for p in combinations(range(1, self.k + 1), 2) if p not in groups)
-
-    def missing_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The colour pairs i < j without an edge, in lexicographic order."""
-        return tuple(self._missing_pair_walk())
 
     def missing_pair_count(self) -> int:
         """C(k, 2) minus the colour pairs with an edge: counted, not listed."""
@@ -176,12 +173,11 @@ class ReductionOutput:
     modulator: tuple[int, ...]
     target: int
     mcc: MccInstance
-    missing_pairs: tuple[tuple[int, int], ...] = ()  # the first _SHOWN_PAIRS
     index: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def degenerate(self) -> bool:
-        return bool(self.missing_pairs)
+        return self.mcc.missing_pair_count() > 0
 
     def vertex(self, *key) -> int:
         try:
@@ -213,7 +209,7 @@ class ReductionOutput:
         """The first missing colour pairs in lexicographic order, and how
         many there are: a header alone can declare C(k, 2) of them."""
         return {
-            "missing_pairs": [list(p) for p in self.missing_pairs],
+            "missing_pairs": [list(p) for p in islice(self.mcc.missing_pairs(), _SHOWN_PAIRS)],
             "missing_pair_count": self.mcc.missing_pair_count(),
         }
 
@@ -249,7 +245,6 @@ def _degenerate_output(mcc: MccInstance) -> ReductionOutput:
         modulator=(),
         target=target,
         mcc=mcc,
-        missing_pairs=tuple(islice(mcc._missing_pair_walk(), _SHOWN_PAIRS)),
         index={},
     )
 
@@ -378,11 +373,6 @@ def construct_clique_solution(out: ReductionOutput, indices: Iterable[int]) -> f
     return frozenset(chosen)
 
 
-def modulator_set(out: ReductionOutput) -> frozenset[int]:
-    """The deletion set to a 2-spider forest: all ports, all apexes, and a_F."""
-    return frozenset(out.modulator)
-
-
 def is_2_spider_forest(g: Graph) -> bool:
     """Every component is a star with edges subdivided at most once.
 
@@ -436,10 +426,6 @@ class ReductionReport:
     @property
     def clique_count(self) -> int:
         return len(self.cliques)
-
-    @property
-    def clique_exists(self) -> bool:
-        return self.clique_count > 0
 
     @property
     def ok(self) -> bool:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import InvalidArgumentError
-from .graph import INFINITY, Graph, ball, bfs_distances
+from .graph import Graph, ball, bfs_distances
 
 DEFAULT_CLOSURE_BOUND = 4
 DEFAULT_HUB_BUDGET = 4
@@ -32,47 +33,29 @@ def _greedy_key(g: Graph):
 # projections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectionProfile:
-    """Distances of the shortest X-avoiding paths from one vertex onto X.
-
-    Only finite entries (<= radius) are stored; every other member of the
-    target set is implicitly at infinity.  Profiles over the same target set
-    compare equal iff all entries agree.
-    """
-
-    targets: frozenset[int]
-    radius: int
-    finite: tuple[tuple[int, int], ...]
-
-    def support(self) -> frozenset[int]:
-        """Members of X reached within the radius (equals the r-projection)."""
-        return frozenset(v for v, _ in self.finite)
-
-    def as_dict(self) -> dict[int, float]:
-        out: dict[int, float] = {x: INFINITY for x in self.targets}
-        out.update(dict(self.finite))
-        return out
-
-
 def _finite_profile(g: Graph, X: frozenset[int], u: int, r: int) -> tuple[tuple[int, int], ...]:
     """Finite profile entries of ``u`` onto an already validated ``X``."""
     dist = bfs_distances(g, u, blocked=X, max_depth=r)
     return tuple(sorted((x, d) for x, d in dist.items() if x in X))
 
 
-def projection_profile(g: Graph, X: Iterable[int], u: int, r: int) -> ProjectionProfile:
-    """Profile of ``u`` onto ``X`` at radius ``r``; requires ``u`` outside X."""
+def projection_profile(g: Graph, X: Iterable[int], u: int, r: int) -> tuple[tuple[int, int], ...]:
+    """Profile of ``u`` onto ``X`` at radius ``r``; requires ``u`` outside X.
+
+    The sorted ``(member, distance)`` pairs of the members of X that an
+    X-avoiding path of length <= r reaches; every other member is at
+    infinity.
+    """
     X = g.check_vertex_set(X)
     g.check_vertex(u)
     if u in X:
         raise InvalidArgumentError(f"vertex {u} lies in the target set")
-    return ProjectionProfile(X, r, _finite_profile(g, X, u, r))
+    return _finite_profile(g, X, u, r)
 
 
 def r_projection(g: Graph, X: Iterable[int], u: int, r: int) -> frozenset[int]:
     """Members of X reachable from u by an X-avoiding path of length <= r."""
-    return projection_profile(g, X, u, r).support()
+    return frozenset(x for x, _ in projection_profile(g, X, u, r))
 
 
 def count_profiles(g: Graph, X: Iterable[int], r: int) -> int:
@@ -132,7 +115,6 @@ def projection_closure(
 class DominationResult:
     """An r-dominating set D of the query set plus an r-scattered I inside D."""
 
-    radius: int
     dominating: frozenset[int]
     scattered: frozenset[int]
 
@@ -205,7 +187,7 @@ def domination_scattered(g: Graph, X: Iterable[int], r: int) -> DominationResult
     """
     X = g.check_vertex_set(X)
     scattered = _greedy_scattered(g, X, r)
-    return DominationResult(r, _greedy_cover(g, X, r, scattered), frozenset(scattered))
+    return DominationResult(_greedy_cover(g, X, r, scattered), frozenset(scattered))
 
 
 def greedy_dominating(g: Graph, X: Iterable[int], r: int) -> frozenset[int]:
@@ -318,7 +300,7 @@ def verify_waterlily(g: Graph, lily: Waterlily, A: Optional[frozenset[int]] = No
                 f"{sorted(missing)[:5]}"
             )
             break
-    profiles = {projection_profile(g, R, c, lily.depth).finite for c in C}
+    profiles = {_finite_profile(g, R, c, lily.depth) for c in C}
     if len(profiles) > 1:
         problems.append("centres do not share a single projection profile onto the roots")
     return problems
@@ -334,12 +316,7 @@ def _largest_class(items: Iterable[int], key) -> tuple:
     return max(classes.items(), key=lambda kv: (len(kv[1]), -kv[1][0]), default=((), []))
 
 
-# the last prefix computed, as (graph, (A, r, d, c_close), prefix); the graph
-# is held and compared by identity, so an equal graph, such as the same file
-# loaded again, computes its own prefix
-_last_prefix: Optional[tuple[Graph, tuple, tuple[frozenset[int], tuple[int, ...]]]] = None
-
-
+@lru_cache(maxsize=1)
 def _lily_prefix(
     g: Graph, A: frozenset[int], r: int, d: int, c_close: int
 ) -> tuple[frozenset[int], tuple[int, ...]]:
@@ -347,23 +324,17 @@ def _lily_prefix(
     closure leaves of A; no members when the closure swallows A.
 
     Greedy d-domination of A, the (r+d)-projection closure of the
-    dominators and the profile classes do not depend on the target, so the
-    result is kept for the next call: the halving targets of one core state
-    compute it once.
+    dominators and the profile classes depend only on the graph's contents,
+    A and the parameters, not on the target, so the last result is kept: the
+    halving targets of one core state compute it once, and an equal graph
+    shares it.
     """
-    global _last_prefix
-    key = (A, r, d, c_close)
-    last = _last_prefix
-    if last is not None and last[0] is g and last[1] == key:
-        return last[2]
     dominators = greedy_dominating(g, A, d)
     closed = projection_closure(g, dominators, r + d, c_close)
     profile, members = _largest_class(
         A - closed, lambda a: _finite_profile(g, closed, a, r + d)
     )
-    prefix = (frozenset(v for v, _ in profile), tuple(members))
-    _last_prefix = (g, key, prefix)
-    return prefix
+    return frozenset(v for v, _ in profile), tuple(members)
 
 
 def build_waterlily(
@@ -385,8 +356,8 @@ def build_waterlily(
     ``LilyFailure`` naming the stage.
 
     The stages up to the profile classes do not depend on the target; a
-    call with the same graph object, query set and parameters as the one
-    before reuses them.
+    call with an equal graph, the same query set and the same parameters as
+    the one before reuses them.
     """
     if d > r:
         raise InvalidArgumentError(f"depth {d} exceeds radius {r}")

@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 from harmlesskit import Graph, Instance, MccInstance
-from harmlesskit.generators import random_mcc
+from harmlesskit.generators import bounded_degree_graph, random_mcc
 
 
 def deep_packing_instance() -> Instance:
@@ -38,18 +38,10 @@ def reduction_corpus() -> list[MccInstance]:
     return corpus
 
 
-def stub_pairing(rng: random.Random, n: int, degree: int = 3) -> list[tuple[int, int]]:
-    """Sorted edges of a random pairing of ``degree`` stubs per vertex, with
-    loops and repeated pairs dropped: maximum degree ``degree``."""
-    stubs = [v for v in range(n) for _ in range(degree)]
-    rng.shuffle(stubs)
-    return sorted({(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2]) if u != v})
-
-
 def fragile_heavy_instance(n: int, seed: int) -> Instance:
     """A random degree-3 graph (stub pairing) with 70% threshold-1 vertices
     and k = n: no early YES, and most vertices leave as core-twins."""
     rng = random.Random(seed)
-    edges = stub_pairing(rng, n)
+    g = bounded_degree_graph(rng, n, 3)
     thresholds = tuple(1 if rng.random() < 0.7 else rng.randint(2, 4) for _ in range(n))
-    return Instance(Graph.from_edges(n, edges), thresholds, n)
+    return Instance(g, thresholds, n)

@@ -14,7 +14,6 @@ from harmlesskit import (
     is_2_spider_forest,
     is_harmless,
     kernelize,
-    modulator_set,
     to_plain_kernel,
     vc_solve,
 )
@@ -141,7 +140,7 @@ def test_criterion_5_modulator_identity():
         if out.degenerate:
             degenerate += 1  # canonical NO-instance carries no gadgets
             continue
-        mod = modulator_set(out)
+        mod = frozenset(out.modulator)
         assert len(mod) == 5 * comb(mcc.k, 2) + 1
         rest, _ = out.instance.graph.induced(set(range(out.instance.n)) - mod)
         assert is_2_spider_forest(rest)

@@ -18,7 +18,6 @@ from harmlesskit import (
     is_2_spider_forest,
     is_harmless,
     load_mcc,
-    modulator_set,
     reduction_target_size,
     residual_budget,
     verify_reduction,
@@ -255,8 +254,8 @@ def test_is_2_spider_forest_is_linear_on_a_large_star():
 
 
 def test_modulator_counts():
-    assert len(modulator_set(build_reduction(EDGE_K2N1))) == 6  # 5*1 + 1
-    assert len(modulator_set(build_reduction(TRIANGLE_K3N1))) == 16  # 5*3 + 1
+    assert len(build_reduction(EDGE_K2N1).modulator) == 6  # 5*1 + 1
+    assert len(build_reduction(TRIANGLE_K3N1).modulator) == 16  # 5*3 + 1
 
 
 def test_modulator_leaves_2_spider_forest():
@@ -266,7 +265,7 @@ def test_modulator_leaves_2_spider_forest():
         out = build_reduction(mcc)
         if out.degenerate:
             continue
-        mod = modulator_set(out)
+        mod = frozenset(out.modulator)
         assert len(mod) == 5 * comb(mcc.k, 2) + 1
         rest, _ = out.instance.graph.induced(set(range(out.instance.n)) - mod)
         assert is_2_spider_forest(rest)
@@ -278,19 +277,19 @@ def test_modulator_leaves_2_spider_forest():
 
 def test_verify_reduction_single_edge():
     rep = verify_reduction(EDGE_K2N1)
-    assert rep.ok and rep.clique_exists and rep.optimum == 3
+    assert rep.ok and rep.clique_count > 0 and rep.optimum == 3
 
 
 def test_verify_reduction_triangle():
     rep = verify_reduction(TRIANGLE_K3N1)
-    assert rep.ok and rep.clique_exists
+    assert rep.ok and rep.clique_count > 0
     assert rep.optimum == 6 == rep.target
 
 
 def test_verify_reduction_path_has_no_clique():
     rep = verify_reduction(PATH_K3N1)
     assert rep.ok
-    assert not rep.clique_exists
+    assert rep.clique_count == 0
     assert rep.optimum < rep.target == 5
 
 
@@ -298,11 +297,11 @@ def test_degenerate_pair_yields_canonical_no():
     mcc = MccInstance.from_edges(2, 1, [])
     out = build_reduction(mcc)
     assert out.degenerate
-    assert out.missing_pairs == ((1, 2),)
+    assert out.missing_pairs_doc() == {"missing_pairs": [[1, 2]], "missing_pair_count": 1}
     assert out.instance.n == 2
     assert brute_force_max(out.instance)[0] == 0 < out.target
     rep = verify_reduction(mcc)
-    assert rep.ok and rep.degenerate and not rep.clique_exists
+    assert rep.ok and rep.degenerate and rep.clique_count == 0
 
 
 def test_enumerated_harmless_sets_respect_gadget_observations():

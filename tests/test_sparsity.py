@@ -1,4 +1,3 @@
-import math
 import random
 from itertools import combinations
 
@@ -63,17 +62,12 @@ def test_r_projection_on_path():
 
 
 def test_projection_profile_entries():
-    prof = projection_profile(PATH4, {0, 3}, 1, 2)
-    assert prof.finite == ((0, 1), (3, 2))
-    assert prof.support() == {0, 3}
-    assert prof.as_dict() == {0: 1, 3: 2}
+    assert projection_profile(PATH4, {0, 3}, 1, 2) == ((0, 1), (3, 2))
 
 
 def test_projection_profile_isolated_vertex():
     g = Graph.from_edges(3, [(0, 1)])
-    prof = projection_profile(g, {0, 1}, 2, 4)
-    assert prof.support() == frozenset()
-    assert prof.as_dict() == {0: math.inf, 1: math.inf}
+    assert projection_profile(g, {0, 1}, 2, 4) == ()
 
 
 def test_false_twins_share_profile():
@@ -99,7 +93,9 @@ def test_count_profiles_matches_direct_enumeration():
         if u in X:
             continue
         dist = naive_bfs(g, u, avoid=X)
-        seen.add(tuple(sorted((x, dist[x]) for x in X if x in dist and dist[x] <= r)))
+        profile = tuple(sorted((x, dist[x]) for x in X if x in dist and dist[x] <= r))
+        assert projection_profile(g, X, u, r) == profile
+        seen.add(profile)
     assert count_profiles(g, X, r) == len(seen)
 
 
@@ -260,22 +256,24 @@ def test_waterlily_depth_above_radius_rejected():
         build_waterlily(star(3), {1}, 1, 2, 1)
 
 
-def test_waterlily_prefix_is_kept_per_graph_object(monkeypatch):
+def test_waterlily_prefix_is_kept_for_equal_graphs(monkeypatch):
     calls = []
     real = sparsity.greedy_dominating
     monkeypatch.setattr(sparsity, "greedy_dominating", lambda *a: calls.append(a) or real(*a))
+    sparsity._lily_prefix.cache_clear()  # another test may have left an equal graph
     g = star(6)
     leaves = frozenset(range(1, 7))
     first = build_waterlily(g, leaves, 2, 1, 6)
     assert build_waterlily(g, leaves, 2, 1, 3) == first
     assert len(calls) == 1  # the second target reuses the prefix
-    # an equal graph that is another object computes its own prefix
+    # an equal graph that is another object shares it
     assert build_waterlily(Graph(g.n, g.adj), leaves, 2, 1, 6) == first
-    assert len(calls) == 2
-    # so does the same graph with another query set or parameters
+    assert len(calls) == 1
+    # the same graph with another query set or parameters computes its own
     build_waterlily(g, leaves - {1}, 2, 1, 1)
+    assert len(calls) == 2
     build_waterlily(g, leaves - {1}, 2, 1, 1, c_close=5)
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_waterlily_multi_star_hits_distinct_stars():
