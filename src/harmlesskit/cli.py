@@ -21,9 +21,9 @@ from pathlib import Path
 from . import __version__
 from .errors import InvalidArgumentError, ParseError, ResourceLimitError
 from .generators import (
+    covered_mcc,
     random_harmless_set,
     random_instance,
-    random_mcc,
 )
 from .graph import compute_core, is_harmless
 from .io import (
@@ -34,7 +34,6 @@ from .io import (
 )
 from .kernelize import kernel_decision, kernelize, to_plain_kernel
 from .reduction import (
-    MccInstance,
     build_reduction,
     check_reduction,
     construct_clique_solution,
@@ -409,12 +408,7 @@ def _cmd_fuzz(args) -> int:
                 failures.append(f"case {case}: vc={v} oracle={b}")
     elif args.suite == "reduction":
         for case in range(count):
-            mcc = random_mcc(rng, rng.choice((2, 3)), rng.choice((1, 2)))
-            # an edge in every colour pair: a missing pair reduces to the
-            # canonical two-vertex NO-instance, which checks no gadget
-            fill = [(i, rng.randint(1, mcc.n), j, rng.randint(1, mcc.n))
-                    for i, j in mcc.missing_pairs()]
-            mcc = MccInstance.from_edges(mcc.k, mcc.n, [*mcc.edges, *fill])
+            mcc = covered_mcc(rng, rng.choice((2, 3)), rng.choice((1, 2)))
             out = build_reduction(mcc)
             try:
                 rep = check_reduction(out, cap=args.brute_cap)

@@ -96,3 +96,14 @@ def random_mcc(
         if rng.random() < edge_prob
     ]
     return MccInstance.from_edges(k, n, edges)
+
+
+def covered_mcc(
+    rng: random.Random, k: int, n: int, *, edge_prob: float = 0.5
+) -> MccInstance:
+    """``random_mcc``, then one random edge in every colour pair left without
+    one: a missing pair reduces to the canonical two-vertex NO-instance,
+    which checks no gadget."""
+    mcc = random_mcc(rng, k, n, edge_prob=edge_prob)
+    fill = [(i, rng.randint(1, n), j, rng.randint(1, n)) for i, j in mcc.missing_pairs()]
+    return MccInstance.from_edges(k, n, [*mcc.edges, *fill])

@@ -15,7 +15,7 @@ a test gadget).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
 from math import comb
@@ -173,17 +173,10 @@ class ReductionOutput:
     modulator: tuple[int, ...]
     target: int
     mcc: MccInstance
-    index: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def degenerate(self) -> bool:
         return self.mcc.missing_pair_count() > 0
-
-    def vertex(self, *key) -> int:
-        try:
-            return self.index[key]
-        except KeyError:
-            raise InvalidArgumentError(f"no vertex with role key {key}") from None
 
     def selectable_vertices(self) -> frozenset[int]:
         return frozenset(
@@ -191,9 +184,7 @@ class ReductionOutput:
         )
 
     def forbidden_vertices(self) -> frozenset[int]:
-        return frozenset(
-            v for v, r in enumerate(self.roles) if r.role in ("xor", "port", "apex", "forbidden")
-        )
+        return frozenset(range(len(self.roles))) - self.selectable_vertices()
 
     def xor_pairs(self) -> list[tuple[int, int]]:
         """The (u, v) pairs guarded by an XOR vertex."""
@@ -245,7 +236,6 @@ def _degenerate_output(mcc: MccInstance) -> ReductionOutput:
         modulator=(),
         target=target,
         mcc=mcc,
-        index={},
     )
 
 
@@ -266,64 +256,57 @@ def build_reduction(mcc: MccInstance) -> ReductionOutput:
         raise ResourceLimitError(
             f"the reduction would build {size} vertices, above the limit {MAX_REDUCTION_VERTICES}"
         )
-    ids: dict = {}
     roles: list[VertexRole] = []
-    thresholds: list[int] = []
     edges: list[tuple[int, int]] = []
 
-    def add(role: VertexRole, threshold: int, *key) -> int:
-        v = len(roles)
+    def add(role: VertexRole) -> int:
         roles.append(role)
-        thresholds.append(threshold)
-        ids[key] = v
-        return v
+        return len(roles) - 1
 
+    lights: list[list[int]] = []  # each colour's selection lights and darks, by member
+    darks: list[list[int]] = []
     for i in range(1, k + 1):
+        lights.append([add(VertexRole("selection", (i,), "light", (s,))) for s in range(1, n + 1)])
+        darks.append([add(VertexRole("selection", (i,), "dark", (s,))) for s in range(1, n + 1)])
         for s in range(1, n + 1):
-            add(VertexRole("selection", (i,), "light", (s,)), 1, "sel-light", i, s)
-        for s in range(1, n + 1):
-            add(VertexRole("selection", (i,), "dark", (s,)), 1, "sel-dark", i, s)
-        for s in range(1, n + 1):
-            x = add(VertexRole("selection", (i,), "xor", (s,)), 2, "sel-xor", i, s)
-            edges.append((x, ids["sel-light", i, s]))
-            edges.append((x, ids["sel-dark", i, s]))
+            x = add(VertexRole("selection", (i,), "xor", (s,)))
+            edges += ((x, lights[-1][s - 1]), (x, darks[-1][s - 1]))
 
     for i, j in combinations(range(1, k + 1), 2):
+        ports: dict[tuple[str, int], int] = {}
         for sign, col in (("+", i), ("-", i), ("+", j), ("-", j)):
-            pv = add(VertexRole("port", (i, j), "port", (sign, col)), n + 1, "port", i, j, sign, col)
-            kind = "sel-light" if sign == "+" else "sel-dark"
-            for s in range(1, n + 1):
-                edges.append((pv, ids[kind, col, s]))
+            pv = ports[sign, col] = add(VertexRole("port", (i, j), "port", (sign, col)))
+            edges.extend((pv, u) for u in (lights if sign == "+" else darks)[col - 1])
+        tested: list[int] = []  # the lights of the pair's test gadgets, for the apex
         for x, y in mcc.pair_edges(i, j):
-            for s in range(1, n + 1):
-                add(VertexRole("test", (i, j, x, y), "light", (s,)), 1, "test-light", i, j, x, y, s)
-            dark = add(VertexRole("test", (i, j, x, y), "dark", ()), 1, "test-dark", i, j, x, y)
-            for s in range(1, n + 1):
-                xv = add(VertexRole("test", (i, j, x, y), "xor", (s,)), 2, "test-xor", i, j, x, y, s)
-                edges.append((xv, ids["test-light", i, j, x, y, s]))
-                edges.append((xv, dark))
+            gadget = (i, j, x, y)
+            test = [add(VertexRole("test", gadget, "light", (s,))) for s in range(1, n + 1)]
+            dark = add(VertexRole("test", gadget, "dark", ()))
+            for s, u in enumerate(test, start=1):
+                xv = add(VertexRole("test", gadget, "xor", (s,)))
+                edges += ((xv, u), (xv, dark))
             # the port facing colour i meets the first n-x lights, its twin
             # the remaining x; symmetrically for colour j with y
             for col, sel in ((i, x), (j, y)):
-                for s in range(1, n + 1):
-                    sign = "+" if s <= n - sel else "-"
-                    edges.append((ids["port", i, j, sign, col], ids["test-light", i, j, x, y, s]))
-        apex = add(VertexRole("apex", (i, j), "apex", ()), n + 1, "apex", i, j)
-        for x, y in mcc.pair_edges(i, j):
-            for s in range(1, n + 1):
-                edges.append((apex, ids["test-light", i, j, x, y, s]))
+                for s, u in enumerate(test, start=1):
+                    edges.append((ports["+" if s <= n - sel else "-", col], u))
+            tested += test
+        apex = add(VertexRole("apex", (i, j), "apex", ()))
+        edges.extend((apex, u) for u in tested)
 
     # a_F guards every XOR vertex, port and apex; the modulator is the
     # ports and apexes in id order, then a_F
-    a_f = add(VertexRole("global", (), "forbidden", ("a",)), 1, "a_F")
-    b_f = add(VertexRole("global", (), "forbidden", ("b",)), 1, "b_F")
-    for v, r in enumerate(roles):
-        if r.role in ("xor", "port", "apex"):
-            edges.append((a_f, v))
+    a_f = add(VertexRole("global", (), "forbidden", ("a",)))
+    b_f = add(VertexRole("global", (), "forbidden", ("b",)))
+    edges.extend((a_f, v) for v, r in enumerate(roles) if r.role in ("xor", "port", "apex"))
     edges.append((a_f, b_f))
 
     target = reduction_target_size(k, n, mcc.m)
-    inst = Instance(Graph.from_edges(len(roles), edges), tuple(thresholds), target)
+    # a vertex tolerates threshold - 1 chosen neighbours: an XOR vertex one of
+    # its two ends, a port or an apex n, every other vertex none
+    threshold = {"xor": 2, "port": n + 1, "apex": n + 1}
+    thresholds = tuple(threshold.get(r.role, 1) for r in roles)
+    inst = Instance(Graph.from_edges(len(roles), edges), thresholds, target)
     modulator = tuple(v for v, r in enumerate(roles) if r.role in ("port", "apex")) + (a_f,)
     return ReductionOutput(
         instance=inst,
@@ -331,7 +314,6 @@ def build_reduction(mcc: MccInstance) -> ReductionOutput:
         modulator=modulator,
         target=target,
         mcc=mcc,
-        index=ids,
     )
 
 
@@ -355,22 +337,17 @@ def construct_clique_solution(out: ReductionOutput, indices: Iterable[int]) -> f
                 f"indices do not form a clique: colours {i},{j} miss edge "
                 f"({indices[i - 1]}, {indices[j - 1]})"
             )
-    chosen: set[int] = set()
-    for i in range(1, mcc.k + 1):
-        x = indices[i - 1]
-        for s in range(1, x + 1):
-            chosen.add(out.vertex("sel-light", i, s))
-        for s in range(x + 1, mcc.n + 1):
-            chosen.add(out.vertex("sel-dark", i, s))
-    for i, j in combinations(range(1, mcc.k + 1), 2):
-        active = (indices[i - 1], indices[j - 1])
-        for x, y in mcc.pair_edges(i, j):
-            if (x, y) == active:
-                for s in range(1, mcc.n + 1):
-                    chosen.add(out.vertex("test-light", i, j, x, y, s))
-            else:
-                chosen.add(out.vertex("test-dark", i, j, x, y))
-    return frozenset(chosen)
+
+    def takes_light(r: VertexRole) -> bool:
+        if r.kind == "selection":
+            return r.local[0] <= indices[r.gadget[0] - 1]
+        i, j, x, y = r.gadget
+        return (x, y) == (indices[i - 1], indices[j - 1])
+
+    return frozenset(
+        v for v, r in enumerate(out.roles)
+        if r.role in ("light", "dark") and (r.role == "light") == takes_light(r)
+    )
 
 
 def is_2_spider_forest(g: Graph) -> bool:

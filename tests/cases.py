@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 from harmlesskit import Graph, Instance, MccInstance
-from harmlesskit.generators import bounded_degree_graph, random_mcc
+from harmlesskit.generators import bounded_degree_graph, covered_mcc, random_mcc
 
 
 def deep_packing_instance() -> Instance:
@@ -35,6 +35,17 @@ def reduction_corpus() -> list[MccInstance]:
     for _ in range(150):
         # denser k=3 n=2 instances exceed the oracle cap, so keep them sparse
         corpus.append(random_mcc(rng, 3, 2, edge_prob=rng.uniform(0.05, 0.45)))
+    return corpus
+
+
+def covered_reduction_corpus() -> list[MccInstance]:
+    """Sparse inputs with an edge in every colour pair, so no input reduces
+    to the canonical NO-instance: k=3 with n=3 (30 draws), then k=4 with
+    n=2 (15 draws).  Most have no clique, and the selectable vertices of
+    most of their H stay within a brute-force cap of 40."""
+    rng = random.Random(404)
+    corpus = [covered_mcc(rng, 3, 3, edge_prob=0.15) for _ in range(30)]
+    corpus += [covered_mcc(rng, 4, 2, edge_prob=0.1) for _ in range(15)]
     return corpus
 
 

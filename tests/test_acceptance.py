@@ -5,6 +5,7 @@ lines.  Every tolerance is exact; corpus sizes follow the stated minimums.
 """
 
 import random
+from collections import Counter
 
 from harmlesskit import (
     brute_force_max,
@@ -26,7 +27,7 @@ from harmlesskit.generators import (
 )
 from harmlesskit.sparsity import LilyFailure, build_waterlily
 
-from cases import reduction_corpus
+from cases import covered_reduction_corpus, reduction_corpus
 from oracles import check_waterlily, naive_is_harmless
 
 
@@ -90,10 +91,16 @@ def test_criterion_2_vc_solver_correctness():
     report(2, "vc-solver correctness", True, f"{cases} instances, optima equal, witnesses verified")
 
 
+def reduction_corpora():
+    """The exhaustive k=2 and sampled k=3 corpus, then sparse inputs with an
+    edge in every colour pair (k=3 n=3, k=4 n=2)."""
+    return reduction_corpus() + covered_reduction_corpus()
+
+
 def test_criterion_3_reduction_completeness():
     cliques_checked = 0
     cases = 0
-    for mcc in reduction_corpus():
+    for mcc in reduction_corpora():
         out = build_reduction(mcc)
         cases += 1
         for clique in mcc.cliques():
@@ -110,23 +117,36 @@ def test_criterion_3_reduction_completeness():
 
 
 def test_criterion_4_reduction_soundness():
-    checked = 0
+    # cap 40 is the brute-force cap of the benchmark's verify-reduction calls;
+    # an H with more selectable vertices is counted as skipped, never as checked
+    outcomes = Counter()  # (k, n, "degenerate" | "yes" | "no") per checked instance
+    totals = Counter()  # the same outcomes over all shapes
     skipped = 0
-    for mcc in reduction_corpus():
+    for mcc in reduction_corpora():
         out = build_reduction(mcc)
-        if len(out.selectable_vertices()) > 24:
-            skipped += 1  # brute force infeasible at desk scale
+        if len(out.selectable_vertices()) > 40:
+            skipped += 1
             continue
-        optimum, witness = brute_force_max(out.instance, cap=24)
-        assert (optimum >= out.target) == bool(mcc.cliques())
+        optimum, witness = brute_force_max(out.instance, cap=40)
+        has_clique = bool(mcc.cliques())
+        assert (optimum >= out.target) == has_clique
         assert not witness & out.forbidden_vertices()
-        checked += 1
+        outcome = "degenerate" if out.degenerate else "yes" if has_clique else "no"
+        outcomes[mcc.k, mcc.n, outcome] += 1
+        totals[outcome] += 1
+    checked = sum(totals.values())
+    # the degenerate NO-instance holds no gadget, so only a non-degenerate
+    # NO-instance can catch gadgets that reach the target without a clique
     assert checked >= 200
+    assert outcomes[3, 3, "no"] >= 10 and outcomes[4, 2, "no"] >= 10
     report(
         4,
         "reduction soundness",
         True,
-        f"{checked} instances cross-checked against the oracle ({skipped} above the brute cap)",
+        f"{checked} instances cross-checked against the oracle: "
+        f"{totals['degenerate']} degenerate, {totals['yes']} YES, {totals['no']} NO "
+        f"({outcomes[3, 3, 'no']} NO at k=3 n=3, {outcomes[4, 2, 'no']} at k=4 n=2); "
+        f"{skipped} above the brute cap",
     )
 
 
@@ -135,7 +155,7 @@ def test_criterion_5_modulator_identity():
 
     checked = 0
     degenerate = 0
-    for mcc in reduction_corpus():
+    for mcc in reduction_corpora():
         out = build_reduction(mcc)
         if out.degenerate:
             degenerate += 1  # canonical NO-instance carries no gadgets

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 import tracemalloc
@@ -24,7 +25,8 @@ from harmlesskit import (
 )
 from harmlesskit import reduction
 from harmlesskit.generators import random_mcc
-from harmlesskit.reduction import reduction_vertex_count
+from harmlesskit.io import dumps, instance_to_doc
+from harmlesskit.reduction import VertexRole, reduction_vertex_count
 
 from cases import reduction_corpus
 from oracles import enumerate_harmless_sets, reference_is_2_spider_forest
@@ -129,6 +131,22 @@ def test_reduction_deterministic():
     assert build_reduction(mcc) == build_reduction(mcc)
 
 
+def test_reduction_bytes_are_pinned():
+    # H's vertex order, edges, thresholds and roles, and the vertices of every
+    # clique solution, on 200 seeded inputs: any change to the construction
+    # moves the digest
+    rng = random.Random(25)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        k, n = rng.choice((2, 3, 4)), rng.choice((1, 2, 3))
+        mcc = random_mcc(rng, k, n, edge_prob=rng.uniform(0.3, 1.0))
+        out = build_reduction(mcc)
+        digest.update(dumps(instance_to_doc(out.instance, out.roles_doc())).encode())
+        for clique in mcc.cliques():
+            digest.update(repr(sorted(construct_clique_solution(out, clique))).encode())
+    assert digest.hexdigest()[:16] == "551798485b1d36f5"
+
+
 # ---------------------------------------------------------------------------
 # completeness: clique -> harmless set of exactly the target size
 # ---------------------------------------------------------------------------
@@ -160,13 +178,13 @@ def test_selection_part_leaves_the_advertised_port_budgets():
     sel = set()
     for i in (1, 2):
         for s in range(1, x[i - 1] + 1):
-            sel.add(out.vertex("sel-light", i, s))
+            sel.add(out.roles.index(VertexRole("selection", (i,), "light", (s,))))
         for s in range(x[i - 1] + 1, 3):
-            sel.add(out.vertex("sel-dark", i, s))
+            sel.add(out.roles.index(VertexRole("selection", (i,), "dark", (s,))))
     n = mcc.n
     for col in (1, 2):
-        plus = out.vertex("port", 1, 2, "+", col)
-        minus = out.vertex("port", 1, 2, "-", col)
+        plus = out.roles.index(VertexRole("port", (1, 2), "port", ("+", col)))
+        minus = out.roles.index(VertexRole("port", (1, 2), "port", ("-", col)))
         assert residual_budget(out.instance, sel, plus) == n - x[col - 1]
         assert residual_budget(out.instance, sel, minus) == x[col - 1]
 
@@ -311,7 +329,10 @@ def test_enumerated_harmless_sets_respect_gadget_observations():
     xor_pairs = out.xor_pairs()
     sel_groups = []
     for i in (1, 2):
-        group = {out.vertex("sel-light", i, 1), out.vertex("sel-dark", i, 1)}
+        group = {
+            out.roles.index(VertexRole("selection", (i,), "light", (1,))),
+            out.roles.index(VertexRole("selection", (i,), "dark", (1,))),
+        }
         sel_groups.append(group)
     best = 0
     for S in enumerate_harmless_sets(inst):
