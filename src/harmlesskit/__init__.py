@@ -13,8 +13,6 @@ from .graph import (
     cap_thresholds,
     compute_core,
     is_harmless,
-    residual_budget,
-    x_avoiding_distance,
 )
 from .io import load_instance, load_instance_json, save_instance, save_instance_json
 from .kernelize import (
@@ -23,9 +21,7 @@ from .kernelize import (
     Stuck,
     YesCertificate,
     kernelize,
-    shrink_core_step,
     shrink_graph_step,
-    signature,
     to_plain_kernel,
 )
 from .reduction import (
@@ -40,8 +36,6 @@ from .reduction import (
     verify_reduction,
 )
 from .solvers import (
-    IlpModel,
-    NeighbourhoodClass,
     brute_force_max,
     build_ilp,
     greedy_vertex_cover,
@@ -65,13 +59,11 @@ __all__ = [
     "AnnotatedInstance",
     "DominationResult",
     "Graph",
-    "IlpModel",
     "Instance",
     "InvalidArgumentError",
     "InvariantError",
     "KernelReport",
     "MccInstance",
-    "NeighbourhoodClass",
     "ParseError",
     "ReductionOutput",
     "RemoveVertices",
@@ -100,17 +92,13 @@ __all__ = [
     "projection_profile",
     "r_projection",
     "reduction_target_size",
-    "residual_budget",
     "save_instance",
     "save_instance_json",
     "save_mcc",
-    "shrink_core_step",
     "shrink_graph_step",
-    "signature",
     "to_plain_kernel",
     "uqw_scattered",
     "vc_solve",
     "verify_reduction",
     "verify_waterlily",
-    "x_avoiding_distance",
 ]

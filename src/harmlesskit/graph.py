@@ -7,14 +7,11 @@ translated at the I/O boundary only.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidArgumentError
-
-INFINITY = math.inf
 
 
 @dataclass(frozen=True)
@@ -46,10 +43,6 @@ class Graph:
     @property
     def m(self) -> int:
         return sum(len(ns) for ns in self.adj) // 2
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        self.check_vertex(u)
-        return self.adj[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as ordered pairs (u < v), sorted lexicographically."""
@@ -145,26 +138,6 @@ def ball(g: Graph, v: int, radius: int, *, removed: Iterable[int] = ()) -> set[i
     return set(bfs_distances(g, v, removed=removed, max_depth=radius))
 
 
-def x_avoiding_distance(
-    g: Graph, X: Iterable[int], u: int, v: int, r: int
-) -> float:
-    """Length of a shortest u-v path with internal vertices outside X, if <= r.
-
-    Returns ``INFINITY`` when no such path exists within the radius.  The
-    endpoint ``v`` may lie in X; the start ``u`` must not.
-    """
-    X = g.check_vertex_set(X)
-    g.check_vertex(u)
-    g.check_vertex(v)
-    if u in X:
-        raise InvalidArgumentError(f"start vertex {u} lies in the avoided set")
-    if r < 0:
-        raise InvalidArgumentError(f"radius must be non-negative, got {r}")
-    dist = bfs_distances(g, u, blocked=X, max_depth=r)
-    d = dist.get(v)
-    return INFINITY if d is None or d > r else d
-
-
 @dataclass(frozen=True)
 class Instance:
     """A graph with per-vertex positive thresholds and an optional target size k."""
@@ -216,14 +189,6 @@ def is_harmless(instance: Instance, S: Iterable[int]) -> bool:
             hits[w] = hits.get(w, 0) + 1
     t = instance.thresholds
     return all(c < t[w] for w, c in hits.items())
-
-
-def residual_budget(instance: Instance, S: Iterable[int], u: int) -> int:
-    """Remaining selectable capacity at u: t(u) - |N(u) & S| - 1 (may be negative)."""
-    S = instance.graph.check_vertex_set(S)
-    instance.graph.check_vertex(u)
-    used = sum(1 for w in instance.graph.adj[u] if w in S)
-    return instance.thresholds[u] - used - 1
 
 
 def cap_thresholds(instance: Instance) -> Instance:

@@ -186,16 +186,6 @@ class ReductionOutput:
     def forbidden_vertices(self) -> frozenset[int]:
         return frozenset(range(len(self.roles))) - self.selectable_vertices()
 
-    def xor_pairs(self) -> list[tuple[int, int]]:
-        """The (u, v) pairs guarded by an XOR vertex."""
-        g = self.instance.graph
-        out = []
-        for v, r in enumerate(self.roles):
-            if r.role == "xor":
-                ends = [w for w in g.adj[v] if self.roles[w].role in ("light", "dark")]
-                out.append((min(ends), max(ends)))
-        return out
-
     def missing_pairs_doc(self) -> dict:
         """The first missing colour pairs in lexicographic order, and how
         many there are: a header alone can declare C(k, 2) of them."""

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from ._core._pykernels import max_harmless, max_packing, vc_scan
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
-from .graph import Graph, Instance, compute_core, is_harmless, residual_budget
+from .graph import Graph, Instance, compute_core, is_harmless
 
 DEFAULT_BRUTE_CAP = 24
 DEFAULT_COVER_CAP = 22
@@ -135,14 +135,16 @@ def build_ilp(
     guess = g.check_vertex_set(guess)
     if not guess <= X:
         raise InvalidArgumentError("the guessed set must be a subset of the cover")
+    # t(u) - |N(u) & guess| - 1 for every vertex u, in one pass over the guess
+    residual = [t - 1 for t in instance.thresholds]
+    for v in guess:
+        for w in g.adj[v]:
+            residual[w] -= 1
     classes = tuple(
-        NeighbourhoodClass(
-            cls.roots,
-            tuple(u for u in cls.members if residual_budget(instance, guess, u) >= 0),
-        )
+        NeighbourhoodClass(cls.roots, tuple(u for u in cls.members if residual[u] >= 0))
         for cls in _neighbourhood_classes(g, X)
     )
-    capacities = {u: residual_budget(instance, guess, u) for u in sorted(X)}
+    capacities = {u: residual[u] for u in sorted(X)}
     if any(c < 0 for c in capacities.values()):
         return None
     return IlpModel(classes, capacities)

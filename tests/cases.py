@@ -49,6 +49,26 @@ def covered_reduction_corpus() -> list[MccInstance]:
     return corpus
 
 
+def apex_reduction_corpus() -> list[MccInstance]:
+    """Inputs where only the apex keeps H sound: k=4 and k=5 with n=3, six
+    draws each.  Every colour pair holds two edges (x, y) and (n-x, n-y), so
+    lighting both of their test gadgets fills the pair's ports with no
+    selection vertex chosen: C(k,2)(2n-2) + m vertices, at least the target
+    C(k,2)(n-1) + kn + m here.  Random edges at edge_prob 0, 0.1 or 0.2
+    follow; some draws have a clique, most at k=5 do not."""
+    rng = random.Random(2709)
+    n = 3
+    corpus = []
+    for k in (4, 5):
+        for edge_prob in (0.0, 0.1, 0.2) * 2:
+            edges = set(random_mcc(rng, k, n, edge_prob=edge_prob).edges)
+            for i, j in combinations(range(1, k + 1), 2):
+                x, y = rng.randint(1, n - 1), rng.randint(1, n - 1)
+                edges |= {(i, x, j, y), (i, n - x, j, n - y)}  # two edges, as n is odd
+            corpus.append(MccInstance.from_edges(k, n, edges))
+    return corpus
+
+
 def fragile_heavy_instance(n: int, seed: int) -> Instance:
     """A random degree-3 graph (stub pairing) with 70% threshold-1 vertices
     and k = n: no early YES, and most vertices leave as core-twins."""

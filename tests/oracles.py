@@ -8,7 +8,13 @@ from-scratch BFS.
 
 from __future__ import annotations
 
+import importlib.util
 from itertools import combinations, islice, product
+from pathlib import Path
+
+import pytest
+
+PERFBENCH_ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 
 
 def naive_is_harmless(instance, S) -> bool:
@@ -19,6 +25,23 @@ def naive_is_harmless(instance, S) -> bool:
         if hits >= instance.thresholds[v]:
             return False
     return True
+
+
+def milp_max_harmless():
+    """The benchmark's MILP oracle ``max_harmless(n, edges, thresholds)``: the
+    maximum harmless set as a 0/1 program, solved by HiGHS through scipy.
+
+    ``perfbench/oracle.py`` is loaded by path when a test asks for it, so
+    only that test imports scipy.  Without scipy the test is skipped, with
+    the reason, rather than passed.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", PERFBENCH_ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        pytest.skip(f"the MILP oracle needs numpy and scipy: {exc}")
+    return module.max_harmless
 
 
 def enumerate_harmless_sets(instance):

@@ -27,8 +27,8 @@ from harmlesskit.generators import (
 )
 from harmlesskit.sparsity import LilyFailure, build_waterlily
 
-from cases import covered_reduction_corpus, reduction_corpus
-from oracles import check_waterlily, naive_is_harmless
+from cases import apex_reduction_corpus, covered_reduction_corpus, reduction_corpus
+from oracles import check_waterlily, milp_max_harmless, naive_is_harmless
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -147,6 +147,32 @@ def test_criterion_4_reduction_soundness():
         f"{totals['degenerate']} degenerate, {totals['yes']} YES, {totals['no']} NO "
         f"({outcomes[3, 3, 'no']} NO at k=3 n=3, {outcomes[4, 2, 'no']} at k=4 n=2); "
         f"{skipped} above the brute cap",
+    )
+
+
+def test_criterion_4_reduction_soundness_where_the_apex_matters():
+    # every pair of these inputs can light two test gadgets and reach the
+    # target without a clique unless the apex stops it; H has 150-370
+    # vertices and 70-190 selectable ones, beyond brute force, so the MILP
+    # oracle decides
+    max_harmless = milp_max_harmless()
+    outcomes = Counter()  # (k, "yes" | "no") per instance
+    for mcc in apex_reduction_corpus():
+        out = build_reduction(mcc)
+        assert not out.degenerate
+        g = out.instance.graph
+        optimum = max_harmless(g.n, list(g.edges()), out.instance.thresholds)
+        has_clique = bool(mcc.cliques())
+        assert (optimum >= out.target) == has_clique
+        outcomes[mcc.k, "yes" if has_clique else "no"] += 1
+    assert outcomes[4, "no"] >= 1 and outcomes[5, "no"] >= 1
+    assert outcomes[4, "yes"] + outcomes[5, "yes"] >= 1
+    report(
+        4,
+        "reduction soundness where the apex matters",
+        True,
+        f"MILP oracle, n=3: {outcomes[4, 'yes']} YES and {outcomes[4, 'no']} NO at k=4, "
+        f"{outcomes[5, 'yes']} YES and {outcomes[5, 'no']} NO at k=5",
     )
 
 

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -11,8 +10,6 @@ from harmlesskit import (
     cap_thresholds,
     compute_core,
     is_harmless,
-    residual_budget,
-    x_avoiding_distance,
 )
 from harmlesskit.graph import bfs_distances
 
@@ -35,7 +32,7 @@ def test_graph_construction_rejects_bad_edges():
 
 def test_graph_basics():
     assert TRIANGLE.m == 3
-    assert TRIANGLE.neighbors(0) == (1, 2)
+    assert TRIANGLE.adj[0] == (1, 2)
     assert list(PATH4.edges()) == [(0, 1), (1, 2), (2, 3)]
     assert Graph.from_edges(0, ()).n == 0
 
@@ -69,17 +66,6 @@ def test_is_harmless_rejects_bad_ids():
     inst = Instance(TRIANGLE, (2, 2, 2))
     with pytest.raises(InvalidArgumentError):
         is_harmless(inst, {3})
-
-
-def test_residual_budget():
-    star5 = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
-    inst = Instance(star5, (5, 1, 1, 1, 1, 1))
-    assert residual_budget(inst, {1, 2}, 0) == 2  # t=5, two selected neighbours
-    assert residual_budget(inst, set(), 1) == 0  # t=1, nothing selected
-    inst2 = Instance(star5, (3, 1, 1, 1, 1, 1))
-    assert residual_budget(inst2, {1, 2, 3}, 0) == -1
-    with pytest.raises(InvalidArgumentError):
-        residual_budget(inst, set(), 9)
 
 
 def test_cap_thresholds_values():
@@ -155,23 +141,6 @@ def test_induced_equals_a_rebuild_of_the_kept_edges():
     for bad in ([0, 4], [-1], [7]):
         with pytest.raises(InvalidArgumentError):
             PATH4.induced(bad)
-
-
-def test_x_avoiding_distance():
-    # path a-b-c-d with X = {a, d}
-    assert x_avoiding_distance(PATH4, {0, 3}, 1, 3, 2) == 2  # b-c-d
-    assert x_avoiding_distance(PATH4, {0, 3}, 1, 3, 1) == math.inf
-    assert x_avoiding_distance(PATH4, {0, 3}, 1, 0, 1) == 1  # adjacency ignores X
-    assert x_avoiding_distance(PATH4, set(), 1, 1, 0) == 0
-    with pytest.raises(InvalidArgumentError):
-        x_avoiding_distance(PATH4, {1}, 1, 3, 2)
-
-
-def test_x_avoiding_blocks_internal_vertices():
-    # a-b-c plus shortcut a-d-c where d is avoided: only the b route survives
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 3), (3, 2)])
-    assert x_avoiding_distance(g, {3}, 0, 2, 5) == 2
-    assert x_avoiding_distance(g, {1, 3}, 0, 2, 5) == math.inf
 
 
 def test_bfs_distances_blocked_reached_not_expanded():

@@ -19,15 +19,13 @@ from harmlesskit import (
     compute_core,
     is_harmless,
     kernelize,
-    shrink_core_step,
     shrink_graph_step,
-    signature,
     to_plain_kernel,
 )
 from harmlesskit import sparsity
 from harmlesskit.generators import bounded_degree_graph, random_instance
 from harmlesskit.io import doc_to_instance, dumps, instance_to_doc
-from harmlesskit.kernelize import kernel_decision
+from harmlesskit.kernelize import _core_reduction, _signature, kernel_decision
 
 from cases import fragile_heavy_instance
 from oracles import naive_max_harmless, reference_core_reduction
@@ -55,24 +53,20 @@ def disjoint_edges(k: int) -> Instance:
 
 def test_signature_no_outside_neighbours():
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
-    inst = Instance(g, (2, 2, 2))
-    assert signature(inst, {1, 2}, 0) == frozenset()
+    assert _signature(g, (2, 2, 2), frozenset({1, 2}), 0) == frozenset()
 
 
 def test_signature_single_neighbour():
     # v=0 with one neighbour u=1, t(u)=2, N(u) & R = {2}
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    inst = Instance(g, (9, 2, 9))
-    assert signature(inst, {2}, 0) == {(2, frozenset({2}))}
+    assert _signature(g, (9, 2, 9), frozenset({2}), 0) == {(2, frozenset({2}))}
 
 
 def test_signature_of_symmetric_twins():
     # two centres 0, 1 each with a private degree-2 neighbour wired to root 4
     g = Graph.from_edges(5, [(0, 2), (1, 3), (2, 4), (3, 4)])
-    inst = Instance(g, (5, 5, 3, 3, 5))
-    assert signature(inst, {4}, 0) == signature(inst, {4}, 1)
-    with pytest.raises(InvalidArgumentError):
-        signature(inst, {4}, 4)
+    t, R = (5, 5, 3, 3, 5), frozenset({4})
+    assert _signature(g, t, R, 0) == _signature(g, t, R, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +77,14 @@ def test_shrink_core_fragile_neighbour_case():
     # x=0 adjacent to a threshold-1 vertex, handed in as part of the core
     g = Graph.from_edges(2, [(0, 1)])
     inst = Instance(g, (2, 1), 1)
-    outcome = shrink_core_step(AnnotatedInstance(inst, frozenset({0})), p=2)
+    outcome = _core_reduction(AnnotatedInstance(inst, frozenset({0})), p=2)
     assert outcome == RemoveVertices((0,), "core-fragile")
 
 
 def test_shrink_core_yes_certificate_on_disjoint_edges():
     inst = disjoint_edges(4)
     ann = AnnotatedInstance(inst, frozenset(range(8)))
-    outcome = shrink_core_step(ann, p=2)
+    outcome = _core_reduction(ann, p=2)
     assert isinstance(outcome, YesCertificate)
     assert len(outcome.certificate) >= 4
     assert is_harmless(inst, outcome.certificate)
@@ -108,18 +102,12 @@ def test_shrink_core_remove_preserves_annotated_optimum():
         )
         extra = frozenset(v for v in range(n) if rng.random() < 0.5)
         ann = AnnotatedInstance(inst, compute_core(inst) | extra)
-        outcome = shrink_core_step(ann, p=inst.k + 1)
+        outcome = _core_reduction(ann, p=inst.k + 1)
         if isinstance(outcome, RemoveVertices):
             removals += 1
             shrunk = ann.shrink_core(outcome.vertices)
             assert annotated_optimum(ann) == annotated_optimum(shrunk)
     assert removals > 0
-
-
-def test_shrink_core_step_is_the_rule_kernelize_applies():
-    # the package attribute ``kernelize`` is the function, so fetch the module
-    module = importlib.import_module("harmlesskit.kernelize")
-    assert shrink_core_step is module._core_reduction
 
 
 @pytest.mark.parametrize("name", ["star7-tail-k2", "star7-tail-k3"])
@@ -128,7 +116,7 @@ def test_shrink_core_batch_matches_first_exchange_steps(name):
     # and kernelize records one step per vertex of it, in order
     case = next(c for c in GOLDEN["cases"] if c["name"] == name)
     inst = cap_thresholds(doc_to_instance(case["instance"]))
-    outcome = shrink_core_step(AnnotatedInstance(inst, compute_core(inst)), p=inst.k + 1)
+    outcome = _core_reduction(AnnotatedInstance(inst, compute_core(inst)), p=inst.k + 1)
     assert isinstance(outcome, RemoveVertices) and outcome.rule == "core-exchange"
     steps = case["result"]["report"]["steps"][: len(outcome.vertices)]
     assert [s["rule"] for s in steps] == ["core-exchange"] * len(outcome.vertices)
@@ -279,7 +267,7 @@ def test_exchange_rule_sound_when_it_fires():
             work = cap_thresholds(inst)
             ann = AnnotatedInstance(work, compute_core(work))
             while True:
-                res = shrink_core_step(ann, work.k + 1)
+                res = _core_reduction(ann, work.k + 1)
                 if not isinstance(res, RemoveVertices):
                     break
                 after = ann.shrink_core(res.vertices)
@@ -446,7 +434,7 @@ def test_core_degree_guard_matches_unguarded_reference():
                 inst, p = cap_thresholds(inst), inst.k + 1
             ann = AnnotatedInstance(inst, compute_core(inst))
             while True:
-                got = shrink_core_step(ann, p)
+                got = _core_reduction(ann, p)
                 want = reference_core_reduction(ann, p)
                 assert type(got) is type(want)
                 if isinstance(got, Stuck):

@@ -9,6 +9,7 @@ import pytest
 
 from harmlesskit import (
     Graph,
+    Instance,
     InvalidArgumentError,
     MccInstance,
     ResourceLimitError,
@@ -20,7 +21,6 @@ from harmlesskit import (
     is_harmless,
     load_mcc,
     reduction_target_size,
-    residual_budget,
     verify_reduction,
 )
 from harmlesskit import reduction
@@ -185,8 +185,35 @@ def test_selection_part_leaves_the_advertised_port_budgets():
     for col in (1, 2):
         plus = out.roles.index(VertexRole("port", (1, 2), "port", ("+", col)))
         minus = out.roles.index(VertexRole("port", (1, 2), "port", ("-", col)))
-        assert residual_budget(out.instance, sel, plus) == n - x[col - 1]
-        assert residual_budget(out.instance, sel, minus) == x[col - 1]
+        # a port's residual budget: t - |N & sel| - 1
+        for port, budget in ((plus, n - x[col - 1]), (minus, x[col - 1])):
+            used = len(sel.intersection(out.instance.graph.adj[port]))
+            assert out.instance.thresholds[port] - used - 1 == budget
+
+
+@pytest.mark.parametrize("k, target", [(4, 36), (5, 55)])
+def test_apex_stops_two_lit_test_gadgets_per_pair(k, target):
+    # n = 3 with edges (1, 2) and (2, 1) in every colour pair: no clique.
+    # Their two test gadgets put 2 + 1 and 1 + 2 lights on each port pair,
+    # so lighting both fills the ports with no selection vertex chosen, and
+    # C(k,2) * 2n such lights reach the target.  Only the apex, which sees
+    # the 2n lit lights of its pair against threshold n + 1, stops them.
+    n = 3
+    pairs = combinations(range(1, k + 1), 2)
+    edges = [(i, x, j, y) for i, j in pairs for x, y in ((1, 2), (2, 1))]
+    mcc = MccInstance.from_edges(k, n, edges)
+    assert not mcc.cliques()
+    out = build_reduction(mcc)
+    lights = [v for v, r in enumerate(out.roles) if r.kind == "test" and r.role == "light"]
+    assert len(lights) == comb(k, 2) * 2 * n >= out.target == target
+    assert not is_harmless(out.instance, lights)
+    # with every apex threshold above its degree, the same lights are harmless
+    adj = out.instance.graph.adj
+    inert = tuple(
+        len(adj[v]) + 1 if r.role == "apex" else t
+        for v, (r, t) in enumerate(zip(out.roles, out.instance.thresholds))
+    )
+    assert is_harmless(Instance(out.instance.graph, inert), lights)
 
 
 def test_clique_solutions_up_to_k4_n3():
@@ -326,7 +353,12 @@ def test_enumerated_harmless_sets_respect_gadget_observations():
     out = build_reduction(EDGE_K2N1)
     inst = out.instance
     forbidden = out.forbidden_vertices()
-    xor_pairs = out.xor_pairs()
+    # the two selectable ends of every XOR vertex
+    xor_pairs = [
+        {w for w in inst.graph.adj[v] if w not in forbidden}
+        for v, r in enumerate(out.roles)
+        if r.role == "xor"
+    ]
     sel_groups = []
     for i in (1, 2):
         group = {
@@ -338,8 +370,8 @@ def test_enumerated_harmless_sets_respect_gadget_observations():
     for S in enumerate_harmless_sets(inst):
         best = max(best, len(S))
         assert not S & forbidden
-        for u, v in xor_pairs:
-            assert len(S & {u, v}) <= 1
+        for pair in xor_pairs:
+            assert len(S & pair) <= 1
         for group in sel_groups:
             assert len(S & group) <= EDGE_K2N1.n
     assert best == out.target

@@ -377,7 +377,7 @@ def test_vc_solves_the_packing_program_once(monkeypatch):
     # vc_solve's witness comes from the search's own packing: with the
     # single-guess model unusable it still returns the same optima and
     # witnesses
-    for attr in ("build_ilp", "ilp_solve", "residual_budget"):
+    for attr in ("build_ilp", "ilp_solve"):
         monkeypatch.setattr(SOLVERS, attr, _raise)
     for inst, cap, expected in _packing_once_cases():
         assert vc_solve(inst, cap=cap) == expected
