@@ -159,19 +159,24 @@ def max_packing(class_size, rows, caps, *, guesses=0):
     clipped limit) cannot beat the incumbent.  Improvement is strict, so the
     first optimum in this order is kept.  ``caps`` is restored before
     returning.  Returns ``(value, assignment)``.
+
+    The bound is kept up to date instead of summed at every node: ``lim[j]``
+    is variable j's clipped limit and ``rest`` the sum of the undecided
+    ones.  A take only lowers the capacities its variable lists, so each
+    later variable listing one of them gets ``min(lim[j], cap)``, which is
+    exact; the old limit goes on a trail.  Backtracking a level restores its
+    capacities and pops the trail back to the level's mark.
     """
     nvars = len(class_size)
-
-    def limit(j):
-        lim = class_size[j]
+    users = [[] for _ in caps]  # users[c]: the variables listing c, last first
+    for j in range(nvars - 1, -1, -1):
         for c in rows[j]:
-            if caps[c] < lim:
-                lim = caps[c]
-        return lim
-
-    def take(j, x):
-        for c in rows[j]:
-            caps[c] -= x
+            users[c].append(j)
+    lim = [min([class_size[j], *(caps[c] for c in rows[j])]) for j in range(nvars)]
+    rest = sum(lim)
+    trail: list[tuple[int, int]] = []  # (j, lim[j] before a take lowered it)
+    mark = [0] * nvars  # per level: trail length at its entry
+    entry_rest = [0] * nvars  # per level: rest at its entry
 
     best = 0
     best_assign = [0] * nvars
@@ -182,29 +187,25 @@ def max_packing(class_size, rows, caps, *, guesses=0):
         if acc > best:
             best = acc
             best_assign = assign.copy()
-        # optimistic bound: every remaining variable filled to its clipped
-        # limit.  Limits are never negative, so summing stops once the bound
-        # beats the incumbent (inlined: this is the search's hot loop)
-        ub = acc
-        j = i
-        while ub <= best and j < nvars:
-            lim = class_size[j]
-            for c in rows[j]:
-                if caps[c] < lim:
-                    lim = caps[c]
-            ub += lim
-            j += 1
-        if ub > best:
-            x = 0 if i < guesses else limit(i)  # first child
+        if acc + rest > best:
+            x = 0 if i < guesses else lim[i]  # first child
+            mark[i] = len(trail)
+            entry_rest[i] = rest
         else:
             # pop finished levels until one still has another value to try
             while i:
                 i -= 1
                 x = assign[i]
-                take(i, -x)
-                acc -= x
+                if x:
+                    acc -= x
+                    for c in rows[i]:
+                        caps[c] += x
+                    t = mark[i]
+                    while len(trail) > t:
+                        j, old = trail.pop()
+                        lim[j] = old
                 if i < guesses:
-                    if not x and limit(i):
+                    if not x and lim[i]:
                         x = 1
                         break
                     assign[i] = 0
@@ -213,9 +214,22 @@ def max_packing(class_size, rows, caps, *, guesses=0):
                     break
             else:
                 return best, best_assign
+            rest = entry_rest[i]
+        # take x of variable i (inlined: this is the search's hot loop)
         assign[i] = x
-        take(i, x)
-        acc += x
+        rest -= lim[i]
+        if x:
+            acc += x
+            for c in rows[i]:
+                cap = caps[c] - x
+                caps[c] = cap
+                for j in users[c]:
+                    if j <= i:
+                        break
+                    if lim[j] > cap:
+                        trail.append((j, lim[j]))
+                        rest -= lim[j] - cap
+                        lim[j] = cap
         i += 1
 
 

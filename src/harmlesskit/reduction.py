@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidArgumentError, ParseError, ResourceLimitError
-from .graph import Graph, Instance, bfs_distances
+from .graph import Graph, Instance, bfs_distances, compute_core
 from .io import Source, _read_text, _write_text
 from .solvers import brute_force_max, check_brute_cap
 
@@ -417,9 +417,10 @@ def verify_reduction(mcc: MccInstance, *, cap: Optional[int] = None) -> Reductio
     """Check clique existence against the oracle optimum of the generated H.
 
     A clique must exist iff the oracle finds a harmless set of the target
-    size, and no oracle witness may touch a forbidden vertex.  ``cap`` is the
-    oracle's: it bounds the core of H, which is exactly the selectable (light
-    and dark) vertices, 2kn + m(n + 1) of them: checked before H is built.
+    size, and no forbidden vertex may lie in any harmless set of H.  ``cap``
+    is the oracle's: it bounds the core of H, which is exactly the
+    selectable (light and dark) vertices, 2kn + m(n + 1) of them: checked
+    before H is built.
     """
     if not mcc.missing_pair_count():
         check_brute_cap(reduction_selectable_count(mcc.k, mcc.n, mcc.m), cap)
@@ -428,7 +429,11 @@ def verify_reduction(mcc: MccInstance, *, cap: Optional[int] = None) -> Reductio
 
 def check_reduction(out: ReductionOutput, *, cap: Optional[int] = None) -> ReductionReport:
     """``verify_reduction``'s checks on an H already built.  The oracle
-    refuses with ``ResourceLimitError`` when the core of H exceeds ``cap``."""
+    refuses with ``ResourceLimitError`` when the core of H exceeds ``cap``.
+
+    A vertex lies in some harmless set iff it alone is harmless (harmless
+    sets are hereditary), that is iff it is in the core; so the forbidden
+    vertices are checked against the core of H."""
     mcc = out.mcc
     optimum, witness = brute_force_max(out.instance, cap=cap)
     cliques = tuple(mcc.cliques())
@@ -442,7 +447,7 @@ def check_reduction(out: ReductionOutput, *, cap: Optional[int] = None) -> Reduc
         optimum=optimum,
         witness=tuple(sorted(witness)),
         equivalence_ok=(optimum >= out.target) == bool(cliques),
-        forbidden_ok=not (witness & out.forbidden_vertices()),
+        forbidden_ok=out.forbidden_vertices().isdisjoint(compute_core(out.instance)),
     )
 
 

@@ -19,9 +19,10 @@ from .graph import Graph, Instance, compute_core, is_harmless
 
 DEFAULT_BRUTE_CAP = 24
 DEFAULT_COVER_CAP = 22
-# Most neighbourhood classes vc_solve accepts: the packing search keeps one
-# stack level per cover guess bit and per class (nx + classes levels), and
-# a node's bound is a pass over the levels below it.
+# Most neighbourhood classes vc_solve accepts: the packing search keeps
+# per-level stacks over nx + classes levels (one per cover guess bit and per
+# class), and its trail of lowered limits holds at most the sum of the
+# variables' first limits, as a limit only falls along a search path.
 _MAX_CLASSES = 10_000
 
 

@@ -239,50 +239,55 @@ def naive_packing_model(instance, X, guess):
     return classes, capacities
 
 
-def recursive_ilp_solve(model):
-    """The recursive packing branch and bound that ``ilp_solve`` replaced:
-    largest class values first, per-class limits clipped by the residual
-    capacities as the bound, strict improvement.  Recursion depth grows
-    with the class count, so only small models fit."""
-    classes = model.classes
-    caps = dict(model.capacities)
-    nclasses = len(classes)
+def recursive_max_packing(class_size, rows, caps, guesses=0):
+    """The packing branch and bound that ``max_packing`` runs, by recursion:
+    the first ``guesses`` variables try 0 and then 1, the others count down
+    from their limit clipped by the remaining capacities to 0.  A node is cut
+    when every undecided variable filled to its clipped limit, summed afresh
+    at the node, cannot beat the incumbent; improvement is strict.  Leaves
+    ``caps`` alone.  Recursion depth grows with the variable count, so only
+    small programs fit."""
+    caps = list(caps)
+    nvars = len(class_size)
     best = 0
-    best_assign = tuple(0 for _ in classes)
-    assign = [0] * nclasses
+    best_assign = [0] * nvars
+    assign = [0] * nvars
 
-    def upper(i):
-        total = 0
-        for j in range(i, nclasses):
-            lim = classes[j].size
-            for u in classes[j].roots:
-                if caps[u] < lim:
-                    lim = caps[u]
-            total += lim
-        return total
+    def limit(j):
+        return min([class_size[j], *(caps[c] for c in rows[j])])
 
     def dfs(i, acc):
         nonlocal best, best_assign
         if acc > best:
             best = acc
-            best_assign = tuple(assign)
-        if i == nclasses or acc + upper(i) <= best:
+            best_assign = assign.copy()
+        if acc + sum(limit(j) for j in range(i, nvars)) <= best:
             return
-        lim = classes[i].size
-        for u in classes[i].roots:
-            if caps[u] < lim:
-                lim = caps[u]
-        for x in range(lim, -1, -1):
+        values = range(min(1, limit(i)) + 1) if i < guesses else range(limit(i), -1, -1)
+        for x in values:
             assign[i] = x
-            for u in classes[i].roots:
-                caps[u] -= x
+            for c in rows[i]:
+                caps[c] -= x
             dfs(i + 1, acc + x)
-            for u in classes[i].roots:
-                caps[u] += x
+            for c in rows[i]:
+                caps[c] += x
         assign[i] = 0
 
     dfs(0, 0)
     return best, best_assign
+
+
+def recursive_ilp_solve(model):
+    """The recursive packing branch and bound that ``ilp_solve`` replaced:
+    ``recursive_max_packing`` over the model's classes, largest values
+    first, with the capacities in the model's order."""
+    pos = {u: p for p, u in enumerate(model.capacities)}
+    best, assign = recursive_max_packing(
+        [cls.size for cls in model.classes],
+        [[pos[u] for u in cls.roots] for cls in model.classes],
+        model.capacities.values(),
+    )
+    return best, tuple(assign)
 
 
 def recursive_max_harmless(adj, thresholds, candidates):

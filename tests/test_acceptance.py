@@ -127,10 +127,11 @@ def test_criterion_4_reduction_soundness():
         if len(out.selectable_vertices()) > 40:
             skipped += 1
             continue
-        optimum, witness = brute_force_max(out.instance, cap=40)
+        optimum, _ = brute_force_max(out.instance, cap=40)
         has_clique = bool(mcc.cliques())
         assert (optimum >= out.target) == has_clique
-        assert not witness & out.forbidden_vertices()
+        # a vertex lies in some harmless set iff it is in the core
+        assert out.forbidden_vertices().isdisjoint(compute_core(out.instance))
         outcome = "degenerate" if out.degenerate else "yes" if has_clique else "no"
         outcomes[mcc.k, mcc.n, outcome] += 1
         totals[outcome] += 1
@@ -164,6 +165,7 @@ def test_criterion_4_reduction_soundness_where_the_apex_matters():
         optimum = max_harmless(g.n, list(g.edges()), out.instance.thresholds)
         has_clique = bool(mcc.cliques())
         assert (optimum >= out.target) == has_clique
+        assert out.forbidden_vertices().isdisjoint(compute_core(out.instance))
         outcomes[mcc.k, "yes" if has_clique else "no"] += 1
     assert outcomes[4, "no"] >= 1 and outcomes[5, "no"] >= 1
     assert outcomes[4, "yes"] + outcomes[5, "yes"] >= 1

@@ -23,7 +23,7 @@ from harmlesskit import (
     vc_solve,
 )
 from harmlesskit import sparsity
-from harmlesskit._core._pykernels import max_harmless, vc_scan
+from harmlesskit._core._pykernels import max_harmless, max_packing, vc_scan
 from harmlesskit.kernelize import _lily_targets, _twin_removals
 from harmlesskit.solvers import (
     IlpModel,
@@ -48,6 +48,7 @@ from oracles import (
     product_cliques,
     recursive_ilp_solve,
     recursive_max_harmless,
+    recursive_max_packing,
     reference_kernelize,
     reference_shrink_graph_step,
     reference_twin_phase,
@@ -193,6 +194,35 @@ def packing_models(draw):
 def test_packing_matches_recursive_reference(model):
     # same optimum and the same assignment, so vc witnesses are unchanged
     assert ilp_solve(model) == recursive_ilp_solve(model)
+
+
+@st.composite
+def packing_programs(draw):
+    """``max_packing`` arguments: 0-8 variables over 0-6 capacities of 0-4,
+    each variable listing any of them (or none), and a guess count in
+    0..nvars whose 0/1 variables have class size 0 or 1, the others 0-4."""
+    ncaps = draw(st.integers(min_value=0, max_value=6))
+    nvars = draw(st.integers(min_value=0, max_value=8))
+    guesses = draw(st.integers(min_value=0, max_value=nvars))
+    caps = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=ncaps, max_size=ncaps))
+    class_size = [
+        draw(st.integers(min_value=0, max_value=1 if j < guesses else 4)) for j in range(nvars)
+    ]
+    position = st.integers(min_value=0, max_value=max(ncaps - 1, 0))
+    rows = [draw(st.lists(position, unique=True, max_size=ncaps)) for _ in range(nvars)]
+    return class_size, rows, caps, guesses
+
+
+@settings(max_examples=400, derandomize=True)
+@given(packing_programs())
+def test_max_packing_matches_recursive_reference(program):
+    # the same optimum and assignment, so vc witnesses are unchanged, and
+    # the capacities come back as they were passed
+    class_size, rows, caps, guesses = program
+    passed = caps.copy()
+    got = max_packing(class_size, rows, caps, guesses=guesses)
+    assert got == recursive_max_packing(class_size, rows, passed, guesses)
+    assert caps == passed
 
 
 @settings(max_examples=300, derandomize=True)

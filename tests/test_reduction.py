@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import time
@@ -24,7 +25,7 @@ from harmlesskit import (
     verify_reduction,
 )
 from harmlesskit import reduction
-from harmlesskit.generators import random_mcc
+from harmlesskit.generators import covered_mcc, random_mcc
 from harmlesskit.io import dumps, instance_to_doc
 from harmlesskit.reduction import VertexRole, reduction_vertex_count
 
@@ -391,6 +392,32 @@ def test_selectable_vertices_are_the_core():
     for mcc in reduction_corpus():
         out = build_reduction(mcc)
         assert out.selectable_vertices() == compute_core(out.instance)
+
+
+def test_forbidden_check_catches_a_forbidden_vertex_made_harmless():
+    # two mutants of H, each putting a forbidden vertex in some harmless set:
+    # one forbidden vertex loses its edges to its threshold-1 neighbours, or
+    # b_F's threshold rises to 2, so a_F alone is harmless.  In the second
+    # the oracle's optimum never holds a_F, so a check of its witness passes;
+    # the check reads the core and must fail on both
+    rng = random.Random(28)
+    b_role = VertexRole("global", (), "forbidden", ("b",))
+    for _ in range(20):
+        out = build_reduction(covered_mcc(rng, 3, 2, edge_prob=0.2))
+        assert reduction.check_reduction(out, cap=40).ok
+        inst = out.instance
+        v = rng.choice(sorted(out.forbidden_vertices()))
+        cut = {w for w in inst.graph.adj[v] if inst.thresholds[w] == 1}
+        assert cut
+        edges = [(a, b) for a, b in inst.graph.edges() if not (v in (a, b) and {a, b} & cut)]
+        thresholds = list(inst.thresholds)
+        thresholds[out.roles.index(b_role)] = 2
+        for mutant in (
+            Instance(Graph.from_edges(inst.n, edges), inst.thresholds),
+            Instance(inst.graph, tuple(thresholds)),
+        ):
+            rep = reduction.check_reduction(dataclasses.replace(out, instance=mutant), cap=40)
+            assert not rep.forbidden_ok and not rep.ok
 
 
 def test_verify_reduction_cap():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 from itertools import combinations
@@ -296,6 +297,23 @@ def test_vc_matches_brute_force_at_the_cover_cap():
         size, witness = vc_solve(inst)
         assert size == brute_force_max(inst, cap=60)[0]
         assert is_harmless(inst, witness) and len(witness) == size
+
+
+def test_vc_answers_are_pinned():
+    # vc_solve's optimum and witness on seeded cover graphs with |X| = 18 to
+    # 26, wider than the property tests reach, and on the deep packing
+    # instance: a change to the search's order or cuts moves the digest
+    rng = random.Random(28)
+    instances = [
+        _seeded_cover_instance(rng, cover, leaves, 20)
+        for cover in range(18, 27, 2)
+        for leaves in (16, 20, 24)
+    ]
+    digest = hashlib.sha256()
+    for inst in instances + [deep_packing_instance()]:
+        size, witness = vc_solve(inst, cap=26)
+        digest.update(repr((size, sorted(witness))).encode())
+    assert digest.hexdigest()[:16] == "05f18dedd62b89a6"
 
 
 def test_vc_cover_above_62_vertices():
