@@ -27,13 +27,17 @@ def max_harmless(adj, thresholds, candidates):
     A node is cut when ``len(cur) + live - excess`` cannot beat the
     incumbent.  ``live`` counts the undecided candidates that no spent
     budget blocks: budgets only fall deeper in the search, so a blocked
-    candidate stays blocked in the whole subtree.  ``excess`` charges the
-    budgets of a family of vertices w fixed before the search, whose
-    live-candidate neighbourhoods are pairwise disjoint: at most budget[w]
-    of w's live undecided neighbours L(w) can still be taken, so
-    sum(max(0, L(w) - budget[w])) of the live candidates are lost.  The
-    family is picked greedily, largest initial excess first.  Both terms
-    are kept up to date as candidates are decided and budgets spent.
+    candidate stays blocked in the whole subtree.  ``excess`` charges
+    budgets over groups fixed before the search: they partition the owned
+    live candidates, and each lies inside the neighbourhood of its owner w.
+    At most budget[w] of w's live undecided group members L(w) can still
+    be taken, so sum(max(0, L(w) - budget[w])) of the live candidates are
+    lost.  The owners are the vertices whose live-candidate neighbours
+    outnumber their budget, largest initial excess first: first a greedy
+    family with pairwise disjoint neighbourhoods, each member owning all its
+    live neighbours, then every other such vertex owning its still-unowned
+    live neighbours when they outnumber its budget.  Both terms are kept up
+    to date as candidates are decided and budgets spent.
 
     The bound never exceeds the plain count of the remaining candidates,
     and it is never below the best set a subtree holds.  So the search
@@ -55,8 +59,8 @@ def max_harmless(adj, thresholds, candidates):
                 spent[x] += 1
     live = sum(1 for c in candidates if not spent[c])
 
-    # owner[x]: the family member whose budget covers live candidate x;
-    # L[w]: w's live undecided neighbours (0 outside the family)
+    # owner[x]: the vertex whose budget covers live candidate x's group;
+    # L[w]: the live undecided members of w's group (0 if w owns none)
     owner = [-1] * n
     L = [0] * n
     excess = 0
@@ -65,12 +69,22 @@ def max_harmless(adj, thresholds, candidates):
         nb = [x for x in adj[w] if pos[x] >= 0 and not spent[x]]
         if nb and len(nb) > budget[w]:  # a live neighbour means budget[w] >= 1
             over.append((budget[w] - len(nb), w, nb))
-    for minus_excess, w, nb in sorted(over):
+    over.sort()
+    for minus_excess, w, nb in over:
         if all(owner[x] < 0 for x in nb):
             for x in nb:
                 owner[x] = w
             L[w] = len(nb)
             excess -= minus_excess
+    # then each other vertex takes its still-unowned live neighbours, if they
+    # outnumber its budget (a family member has none left, so it takes none)
+    for _, w, nb in over:
+        group = [x for x in nb if owner[x] < 0]
+        if len(group) > budget[w]:
+            for x in group:
+                owner[x] = w
+            L[w] = len(group)
+            excess += len(group) - budget[w]
 
     best = -1
     best_set: list[int] = []

@@ -306,6 +306,29 @@ def test_brute_kernel_matches_recursive_reference_on_hubs(inst, data):
     )
 
 
+@st.composite
+def sparse_candidate_instances(draw):
+    """G(n, m) with n = 8-14, m = round(1.5 n) and thresholds 2-3, the shape
+    of the benchmark's brute-force calls: every vertex is a candidate, and
+    candidate neighbourhoods overlap, so the bound charges partial groups."""
+    n = draw(st.integers(min_value=8, max_value=14))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = rnd.sample(list(combinations(range(n), 2)), round(1.5 * n))
+    thresholds = tuple(draw(st.integers(min_value=2, max_value=3)) for _ in range(n))
+    return Instance(Graph.from_edges(n, edges), thresholds)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(sparse_candidate_instances(), st.data())
+def test_brute_kernel_matches_recursive_reference_on_sparse_graphs(inst, data):
+    adj, thresholds = inst.graph.adj, inst.thresholds
+    by_degree = sorted(range(inst.n), key=lambda v: (-len(adj[v]), v))  # brute_force_max's order
+    for order in (by_degree, data.draw(st.permutations(range(inst.n)))):
+        assert max_harmless(adj, thresholds, order) == recursive_max_harmless(
+            adj, thresholds, order
+        )
+
+
 @settings(max_examples=300, derandomize=True)
 @given(instances(), st.data())
 def test_build_ilp_matches_reference(inst, data):

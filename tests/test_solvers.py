@@ -79,6 +79,27 @@ def test_brute_cap():
         brute_force_max(inst, cap=20)
 
 
+def _seeded_sparse_instance(rng, n, m):
+    """G(n, m) with thresholds half 2 and half 3, shuffled: no vertex has
+    threshold 1, so every vertex is a brute-force candidate."""
+    edges = rng.sample(list(combinations(range(n), 2)), m)
+    thresholds = [2] * (n // 2) + [3] * (n - n // 2)
+    rng.shuffle(thresholds)
+    return Instance(Graph.from_edges(n, edges), tuple(thresholds))
+
+
+def test_brute_answers_are_pinned():
+    # brute_force_max's optimum and witness on G(32, 48), the shape of the
+    # benchmark's brute-force calls and beyond the recursive reference's
+    # reach: a change that moves an optimum or a witness moves the digest
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+    for _ in range(12):
+        size, witness = brute_force_max(_seeded_sparse_instance(rng, 32, 48), cap=40)
+        digest.update(repr((size, sorted(witness))).encode())
+    assert digest.hexdigest()[:16] == "70593e2167fcefec"
+
+
 # ---------------------------------------------------------------------------
 # greedy vertex cover
 # ---------------------------------------------------------------------------
