@@ -163,23 +163,40 @@ def max_harmless(adj, thresholds, candidates):
 def max_packing(class_size, rows, caps, *, guesses=0):
     """Exact packing: maximise sum(x_j) with 0 <= x_j <= class_size[j] and,
     for every capacity c, the x_j of the variables listing c (``rows[j]``
-    holds variable j's capacity positions) summing to at most caps[c].
+    holds variable j's distinct capacity positions) summing to at most
+    caps[c], every caps[c] non-negative.
 
     Depth-first branch and bound without recursion: the partial assignment
     is the stack, one level per variable.  Each level counts its value down
     from the variable's limit clipped by the current capacities to 0, except
     the first ``guesses`` levels, 0/1 variables that try 0 before 1.  A node
-    is cut when the optimistic bound (every remaining variable filled to its
-    clipped limit) cannot beat the incumbent.  Improvement is strict, so the
-    first optimum in this order is kept.  ``caps`` is restored before
-    returning.  Returns ``(value, assignment)``.
+    is cut when ``acc + rest - excess`` cannot beat the incumbent.
+    Improvement is strict, so the first optimum in this order is kept.
+    ``caps`` is restored before returning.  Returns ``(value, assignment)``.
 
-    The bound is kept up to date instead of summed at every node: ``lim[j]``
-    is variable j's clipped limit and ``rest`` the sum of the undecided
-    ones.  A take only lowers the capacities its variable lists, so each
-    later variable listing one of them gets ``min(lim[j], cap)``, which is
-    exact; the old limit goes on a trail.  Backtracking a level restores its
-    capacities and pops the trail back to the level's mark.
+    ``acc`` is the value of the decided levels, ``lim[j]`` variable j's
+    clipped limit and ``rest`` the sum of the undecided ones: every
+    remaining variable filled to its limit.  A take only lowers the
+    capacities its variable lists, so each later variable listing one of
+    them gets ``min(lim[j], cap)``, which is exact; the old limit goes on a
+    trail.  ``excess`` charges the capacity rows for groups fixed before the
+    search: they partition the owned variables, and each lies inside one row
+    c, its owner.  The undecided members of c's group can still take at most
+    caps[c] in all, so with G[c] the sum of their limits, sum(max(0, G[c] -
+    caps[c])) of ``rest`` cannot be filled.  Rows claim their groups in
+    order of initial excess (the limits of the row's variables less its
+    capacity), largest first and ties to the lower row; each takes its
+    still-unowned variables when their limits sum above its capacity.
+    Takes, trailed limits and decided levels keep G and ``excess`` up to
+    date.  Backtracking a level restores its capacities, pops the trail back
+    to the level's mark (giving the lowered limits back to G), returns the
+    level's own limit to G, and resets ``rest`` and ``excess`` to their
+    values at the level's entry.
+
+    The bound never exceeds ``acc + rest``, and it is never below the best
+    value a subtree holds.  So the search visits the nodes of the plain
+    bound's search in the same order, minus subtrees that cannot improve,
+    and finds the same incumbents and the same assignment.
     """
     nvars = len(class_size)
     users = [[] for _ in caps]  # users[c]: the variables listing c, last first
@@ -188,9 +205,28 @@ def max_packing(class_size, rows, caps, *, guesses=0):
             users[c].append(j)
     lim = [min([class_size[j], *(caps[c] for c in rows[j])]) for j in range(nvars)]
     rest = sum(lim)
+
+    # owner[j]: the row whose group holds variable j (-1 for none); G[c]: the
+    # limits of row c's undecided group members (0 if c owns none)
+    owner = [-1] * nvars
+    G = [0] * len(caps)
+    excess = 0
+    over = sorted((caps[c] - sum(lim[j] for j in users[c]), c) for c in range(len(caps)))
+    for minus_excess, c in over:
+        if minus_excess >= 0:
+            break
+        group = [j for j in users[c] if owner[j] < 0]
+        g = sum(lim[j] for j in group)
+        if g > caps[c]:
+            for j in group:
+                owner[j] = c
+            G[c] = g
+            excess += g - caps[c]
+
     trail: list[tuple[int, int]] = []  # (j, lim[j] before a take lowered it)
     mark = [0] * nvars  # per level: trail length at its entry
     entry_rest = [0] * nvars  # per level: rest at its entry
+    entry_excess = [0] * nvars  # per level: excess at its entry
 
     best = 0
     best_assign = [0] * nvars
@@ -201,10 +237,11 @@ def max_packing(class_size, rows, caps, *, guesses=0):
         if acc > best:
             best = acc
             best_assign = assign.copy()
-        if acc + rest > best:
+        if acc + rest - excess > best:
             x = 0 if i < guesses else lim[i]  # first child
             mark[i] = len(trail)
             entry_rest[i] = rest
+            entry_excess[i] = excess
         else:
             # pop finished levels until one still has another value to try
             while i:
@@ -217,7 +254,13 @@ def max_packing(class_size, rows, caps, *, guesses=0):
                     t = mark[i]
                     while len(trail) > t:
                         j, old = trail.pop()
+                        o = owner[j]
+                        if o >= 0:
+                            G[o] += old - lim[j]
                         lim[j] = old
+                o = owner[i]  # variable i is undecided again
+                if o >= 0:
+                    G[o] += lim[i]
                 if i < guesses:
                     if not x and lim[i]:
                         x = 1
@@ -229,21 +272,43 @@ def max_packing(class_size, rows, caps, *, guesses=0):
             else:
                 return best, best_assign
             rest = entry_rest[i]
-        # take x of variable i (inlined: this is the search's hot loop)
+            excess = entry_excess[i]
+        # take x of variable i (inlined: this is the search's hot loop); each
+        # change to G[o] or caps[o] moves excess by the change in
+        # max(0, G[o] - caps[o])
         assign[i] = x
-        rest -= lim[i]
+        li = lim[i]
+        rest -= li
+        o = owner[i]
+        if o >= 0:
+            g = G[o]
+            G[o] = g - li
+            d = g - caps[o]
+            if d > 0:
+                excess -= li if li < d else d
         if x:
             acc += x
             for c in rows[i]:
                 cap = caps[c] - x
                 caps[c] = cap
+                d = G[c] - cap
+                if d > 0:
+                    excess += x if x < d else d
                 for j in users[c]:
                     if j <= i:
                         break
-                    if lim[j] > cap:
-                        trail.append((j, lim[j]))
-                        rest -= lim[j] - cap
+                    lj = lim[j]
+                    if lj > cap:
+                        trail.append((j, lj))
+                        rest -= lj - cap
                         lim[j] = cap
+                        o = owner[j]
+                        if o >= 0:
+                            g = G[o]
+                            G[o] = g - lj + cap
+                            d = g - caps[o]
+                            if d > 0:
+                                excess -= lj - cap if lj - cap < d else d
         i += 1
 
 

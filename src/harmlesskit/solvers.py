@@ -21,7 +21,8 @@ DEFAULT_BRUTE_CAP = 24
 DEFAULT_COVER_CAP = 22
 # Most neighbourhood classes vc_solve accepts: the packing search keeps
 # per-level stacks over nx + classes levels (one per cover guess bit and per
-# class), and its trail of lowered limits holds at most the sum of the
+# class) and one owner per level and one charge per budget row (nx + classes
+# rows), and its trail of lowered limits holds at most the sum of the
 # variables' first limits, as a limit only falls along a search path.
 _MAX_CLASSES = 10_000
 

@@ -225,6 +225,34 @@ def test_max_packing_matches_recursive_reference(program):
     assert caps == passed
 
 
+@st.composite
+def cover_packing_programs(draw):
+    """``max_packing`` arguments shaped like ``vc_scan``'s: 4-8 guess
+    variables of size 1, then 0-4 classes of size 1-3, and 3-6 capacity
+    rows of 0-3, each listed by 3-6 of the variables.  Rows this full are
+    where the search charges its bound for what a row cannot hold."""
+    guesses = draw(st.integers(min_value=4, max_value=8))
+    class_size = [1] * guesses + draw(st.lists(st.integers(1, 3), max_size=4))
+    nvars = len(class_size)
+    ncaps = draw(st.integers(min_value=3, max_value=6))
+    caps = draw(st.lists(st.integers(0, 3), min_size=ncaps, max_size=ncaps))
+    rows = [[] for _ in class_size]
+    for c in range(ncaps):
+        for j in draw(st.lists(st.integers(0, nvars - 1), min_size=3, max_size=6, unique=True)):
+            rows[j].append(c)
+    return class_size, rows, caps, guesses
+
+
+@settings(max_examples=300, derandomize=True)
+@given(cover_packing_programs())
+def test_max_packing_matches_recursive_reference_on_cover_programs(program):
+    class_size, rows, caps, guesses = program
+    passed = caps.copy()
+    got = max_packing(class_size, rows, caps, guesses=guesses)
+    assert got == recursive_max_packing(class_size, rows, passed, guesses)
+    assert caps == passed
+
+
 @settings(max_examples=300, derandomize=True)
 @given(instances(max_n=12), st.data())
 def test_brute_kernel_matches_recursive_reference(inst, data):

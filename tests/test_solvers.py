@@ -23,7 +23,7 @@ from harmlesskit.generators import random_instance
 from harmlesskit.solvers import NeighbourhoodClass, IlpModel
 
 from cases import deep_packing_instance
-from oracles import naive_max_harmless
+from oracles import milp_max_harmless, naive_max_harmless
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -335,6 +335,21 @@ def test_vc_answers_are_pinned():
         size, witness = vc_solve(inst, cap=26)
         digest.update(repr((size, sorted(witness))).encode())
     assert digest.hexdigest()[:16] == "05f18dedd62b89a6"
+
+
+def test_vc_matches_the_milp_oracle_at_wider_covers():
+    # covers of 26 and 30 vertices, above the default cap and beyond brute
+    # force: the MILP oracle decides (a missing scipy skips, with the reason)
+    max_harmless = milp_max_harmless()
+    rng = random.Random(31)
+    for cover in (26, 30):
+        for leaves in (16, 20, 24):
+            inst = _seeded_cover_instance(rng, cover, leaves, 20)
+            assert len(greedy_vertex_cover(inst.graph)) == cover
+            size, witness = vc_solve(inst, cap=30)
+            g = inst.graph
+            assert size == max_harmless(g.n, list(g.edges()), inst.thresholds)
+            assert is_harmless(inst, witness) and len(witness) == size
 
 
 def test_vc_cover_above_62_vertices():
