@@ -1,6 +1,16 @@
-"""The search kernels: brute-force branch and bound, and the packing search
-that also solves the vertex-cover program, its cover guesses as 0/1
-variables.
+"""The search kernels: one packing branch and bound, ``max_packing``, and
+the two programs the solvers give it.  ``max_harmless`` is the packing
+program of a graph, its candidates as variables of size 1 over the
+vertices' budget rows; ``vc_scan`` is the vertex-cover program, its cover
+guesses as 0/1 variables.
+
+The search cuts a node on the undecided variables filled to their clipped
+limits, less what the over-full rows cannot hold.  Before the search each
+variable is given to at most one row, its owner, in two passes over the
+rows of positive initial excess, largest excess first: first a family of
+rows with disjoint groups, each taking all its variables of positive limit,
+then every row taking its still-unowned variables when their limits sum
+above its capacity.
 
 They take the lists the solvers in ``harmlesskit.solvers`` already hold:
 adjacency rows, thresholds, and one row of capacity positions per class.
@@ -11,153 +21,22 @@ from __future__ import annotations
 
 
 def max_harmless(adj, thresholds, candidates):
-    """Branch-and-bound maximum harmless set over the given candidates.
+    """Maximum harmless set over the given candidates, by the packing search.
 
-    ``adj[v]`` lists the neighbours of each of the n vertices; the candidate
-    sequence must hold distinct vertices whose selection can ever be feasible
-    (the caller passes the solution core, in visit order).  Returns ``(size,
-    sorted vertex list)``.
+    ``adj[v]`` lists the neighbours of each of the n vertices, every
+    threshold is at least 1, and the candidate sequence holds distinct
+    vertices (the caller passes the solution core, in visit order).  Returns
+    ``(size, sorted vertex list)``.
 
-    Depth-first without recursion: one level per candidate, and ``stack``
-    holds each level's state, recording whether its candidate is in ``cur``.
-    A level first tries to include its candidate (when no neighbour's budget
-    is spent), then excludes it.  Improvement is strict, so the first optimum
-    in this order is kept.
-
-    A node is cut when ``len(cur) + live - excess`` cannot beat the
-    incumbent.  ``live`` counts the undecided candidates that no spent
-    budget blocks: budgets only fall deeper in the search, so a blocked
-    candidate stays blocked in the whole subtree.  ``excess`` charges
-    budgets over groups fixed before the search: they partition the owned
-    live candidates, and each lies inside the neighbourhood of its owner w.
-    At most budget[w] of w's live undecided group members L(w) can still
-    be taken, so sum(max(0, L(w) - budget[w])) of the live candidates are
-    lost.  The owners are the vertices whose live-candidate neighbours
-    outnumber their budget, largest initial excess first: first a greedy
-    family with pairwise disjoint neighbourhoods, each member owning all its
-    live neighbours, then every other such vertex owning its still-unowned
-    live neighbours when they outnumber its budget.  Both terms are kept up
-    to date as candidates are decided and budgets spent.
-
-    The bound never exceeds the plain count of the remaining candidates,
-    and it is never below the best set a subtree holds.  So the search
-    visits the nodes of the plain-count search in the same order, minus
-    subtrees that cannot improve, and finds the same incumbents and the same
-    witness.
+    A harmless set is the packing program of the graph: each candidate c is
+    a variable of size 1 whose row is ``adj[c]``, and vertex w's capacity is
+    t(w) - 1, indexed by w.  The search tries 1 before 0, so the first
+    optimum it keeps is the include-first witness.
     """
-    n = len(thresholds)
-    ncand = len(candidates)
-    budget = [t - 1 for t in thresholds]
-    pos = [-1] * n  # candidate position; candidate x is undecided at depth i iff pos[x] >= i
-    for p, c in enumerate(candidates):
-        pos[c] = p
-    # spent[x]: neighbours of x with no budget left; x can be taken iff it is 0
-    spent = [0] * n
-    for w in range(n):
-        if budget[w] <= 0:
-            for x in adj[w]:
-                spent[x] += 1
-    live = sum(1 for c in candidates if not spent[c])
-
-    # owner[x]: the vertex whose budget covers live candidate x's group;
-    # L[w]: the live undecided members of w's group (0 if w owns none)
-    owner = [-1] * n
-    L = [0] * n
-    excess = 0
-    over = []
-    for w in range(n):
-        nb = [x for x in adj[w] if pos[x] >= 0 and not spent[x]]
-        if nb and len(nb) > budget[w]:  # a live neighbour means budget[w] >= 1
-            over.append((budget[w] - len(nb), w, nb))
-    over.sort()
-    for minus_excess, w, nb in over:
-        if all(owner[x] < 0 for x in nb):
-            for x in nb:
-                owner[x] = w
-            L[w] = len(nb)
-            excess -= minus_excess
-    # then each other vertex takes its still-unowned live neighbours, if they
-    # outnumber its budget (a family member has none left, so it takes none)
-    for _, w, nb in over:
-        group = [x for x in nb if owner[x] < 0]
-        if len(group) > budget[w]:
-            for x in group:
-                owner[x] = w
-            L[w] = len(group)
-            excess += len(group) - budget[w]
-
-    best = -1
-    best_set: list[int] = []
-    cur: list[int] = []
-    # per level: (state, live, excess at the level's entry); state 2 while
-    # the candidate is in cur, 1 once it is excluded after that, 0 when it
-    # was blocked
-    stack: list[tuple[int, int, int]] = []
-    i = 0  # depth of the node being entered: len(stack)
-    while True:
-        if len(cur) > best:
-            best = len(cur)
-            best_set = cur.copy()
-        if i < ncand and len(cur) + live - excess > best:
-            c = candidates[i]
-            if spent[c]:
-                stack.append((0, live, excess))
-            else:
-                stack.append((2, live, excess))
-                # c leaves the undecided candidates...
-                live -= 1
-                o = owner[c]
-                if o >= 0:
-                    L[o] -= 1
-                    if L[o] >= budget[o]:
-                        excess -= 1
-                # ...and spends a unit of each neighbour's budget
-                for w in adj[c]:
-                    b = budget[w] - 1
-                    budget[w] = b
-                    if L[w] > b:
-                        excess += 1
-                    if not b:  # w's neighbours are blocked from here on
-                        for x in adj[w]:
-                            s = spent[x]
-                            spent[x] = s + 1
-                            if not s and pos[x] > i:
-                                live -= 1
-                                o = owner[x]
-                                if o >= 0:
-                                    L[o] -= 1
-                                    if L[o] >= budget[o]:
-                                        excess -= 1
-                cur.append(c)
-            i += 1
-            continue
-        # pop finished levels until one whose candidate can still be excluded
-        while stack:
-            i -= 1
-            state, live, excess = stack.pop()
-            c = candidates[i]
-            if state == 2:
-                cur.pop()
-                for w in adj[c]:
-                    if not budget[w]:
-                        for x in adj[w]:
-                            s = spent[x] - 1
-                            spent[x] = s
-                            if not s and pos[x] > i and owner[x] >= 0:
-                                L[owner[x]] += 1
-                    budget[w] += 1
-                stack.append((1, live, excess))
-                # c stays decided, now excluded
-                live -= 1
-                o = owner[c]
-                if o >= 0 and L[o] >= budget[o]:
-                    excess -= 1
-                i += 1
-                break
-            if state == 1 and owner[c] >= 0:
-                L[owner[c]] += 1
-        else:
-            return best, sorted(best_set)
+    best, assign = max_packing(
+        [1] * len(candidates), [adj[c] for c in candidates], [t - 1 for t in thresholds]
+    )
+    return best, sorted(c for c, x in zip(candidates, assign) if x)
 
 
 def max_packing(class_size, rows, caps, *, guesses=0):
@@ -183,15 +62,17 @@ def max_packing(class_size, rows, caps, *, guesses=0):
     search: they partition the owned variables, and each lies inside one row
     c, its owner.  The undecided members of c's group can still take at most
     caps[c] in all, so with G[c] the sum of their limits, sum(max(0, G[c] -
-    caps[c])) of ``rest`` cannot be filled.  Rows claim their groups in
-    order of initial excess (the limits of the row's variables less its
-    capacity), largest first and ties to the lower row; each takes its
-    still-unowned variables when their limits sum above its capacity.
-    Takes, trailed limits and decided levels keep G and ``excess`` up to
-    date.  Backtracking a level restores its capacities, pops the trail back
-    to the level's mark (giving the lowered limits back to G), returns the
-    level's own limit to G, and resets ``rest`` and ``excess`` to their
-    values at the level's entry.
+    caps[c])) of ``rest`` cannot be filled.  The rows of positive initial
+    excess (the limits of the row's variables less its capacity) claim their
+    groups in two passes, each largest excess first and ties to the lower
+    row.  First a row takes all its variables of positive limit when none of
+    them is owned yet, so these groups are disjoint and each is charged in
+    full; then each row takes its still-unowned variables when their limits
+    sum above its capacity.  Takes, trailed limits and decided levels keep G
+    and ``excess`` up to date.  Backtracking a level restores its
+    capacities, pops the trail back to the level's mark (giving the lowered
+    limits back to G), returns the level's own limit to G, and resets
+    ``rest`` and ``excess`` to their values at the level's entry.
 
     The bound never exceeds ``acc + rest``, and it is never below the best
     value a subtree holds.  So the search visits the nodes of the plain
@@ -211,10 +92,24 @@ def max_packing(class_size, rows, caps, *, guesses=0):
     owner = [-1] * nvars
     G = [0] * len(caps)
     excess = 0
-    over = sorted((caps[c] - sum(lim[j] for j in users[c]), c) for c in range(len(caps)))
-    for minus_excess, c in over:
-        if minus_excess >= 0:
-            break
+    # only a row that some variable lists can be over-full; a graph's
+    # program has a row for every vertex, most of them unused
+    over = sorted(
+        (caps[c] - sum(lim[j] for j in users[c]), c) for c in range(len(caps)) if users[c]
+    )
+    over = [c for minus_excess, c in over if minus_excess < 0]
+    # first a family of rows whose groups are disjoint: each takes all its
+    # users of positive limit, when none of them is owned yet
+    for c in over:
+        group = [j for j in users[c] if lim[j]]
+        if all(owner[j] < 0 for j in group):
+            for j in group:
+                owner[j] = c
+            G[c] = sum(lim[j] for j in group)
+            excess += G[c] - caps[c]
+    # then each row takes its still-unowned users when their limits sum
+    # above its capacity (a family row has none of positive limit left)
+    for c in over:
         group = [j for j in users[c] if owner[j] < 0]
         g = sum(lim[j] for j in group)
         if g > caps[c]:

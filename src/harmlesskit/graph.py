@@ -57,8 +57,9 @@ class Graph:
 
     def check_vertex_set(self, vs: Iterable[int]) -> frozenset[int]:
         vs = frozenset(vs)
-        for u in vs:
-            self.check_vertex(u)
+        if vs:  # names the smallest id below 0, or else the largest id >= n
+            lo = min(vs)
+            self.check_vertex(lo if lo < 0 else max(vs))
         return vs
 
     def without_vertex(self, v: int) -> "Graph":

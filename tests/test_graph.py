@@ -63,9 +63,12 @@ def test_is_harmless_includes_members_and_empty_set():
 
 
 def test_is_harmless_rejects_bad_ids():
+    # the error names the smallest id below 0, or else the largest id >= n
     inst = Instance(TRIANGLE, (2, 2, 2))
-    with pytest.raises(InvalidArgumentError):
-        is_harmless(inst, {3})
+    for bad, named in (({3}, 3), ({-1}, -1), ({-1, 3}, -1), ({-2, -1, 1, 5}, -2), ({0, 3, 9}, 9)):
+        with pytest.raises(InvalidArgumentError, match=rf"vertex id {named} out of range \[0, 3\)"):
+            is_harmless(inst, bad)
+    assert is_harmless(Instance(Graph.from_edges(0, ()), ()), ())
 
 
 def test_cap_thresholds_values():

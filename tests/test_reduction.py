@@ -148,6 +148,20 @@ def test_reduction_bytes_are_pinned():
     assert digest.hexdigest()[:16] == "551798485b1d36f5"
 
 
+def test_reduction_witnesses_are_pinned():
+    # check_reduction's optimum and witness on 30 seeded inputs of the
+    # benchmark's shapes, (k, n) = (2, 3) and (3, 2): a change to the
+    # oracle's search that moves an optimum or a witness moves the digest
+    rng = random.Random(32)
+    digest = hashlib.sha256()
+    for k, n in [(2, 3)] * 24 + [(3, 2)] * 6:
+        # a core of 2kn + m(n + 1) <= 48 vertices
+        report = reduction.check_reduction(build_reduction(covered_mcc(rng, k, n)), cap=48)
+        assert report.ok
+        digest.update(repr((report.optimum, report.witness)).encode())
+    assert digest.hexdigest()[:16] == "205c74f25dcf07e5"
+
+
 # ---------------------------------------------------------------------------
 # completeness: clique -> harmless set of exactly the target size
 # ---------------------------------------------------------------------------

@@ -437,9 +437,8 @@ def test_vc_solves_the_packing_program_once(monkeypatch):
         assert vc_solve(inst, cap=cap) == expected
 
 
-def test_vc_runs_one_packing_search(monkeypatch):
-    # the cover guesses are variables of the packing search, not a walk
-    # that starts a search per guess
+def _count_packing_searches(monkeypatch):
+    """The list that gets one entry per packing search started from here on."""
     kernels = importlib.import_module("harmlesskit._core._pykernels")
     real = kernels.max_packing
     calls = []
@@ -449,6 +448,13 @@ def test_vc_runs_one_packing_search(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "max_packing", counted)
+    return calls
+
+
+def test_vc_runs_one_packing_search(monkeypatch):
+    # the cover guesses are variables of the packing search, not a walk
+    # that starts a search per guess
+    calls = _count_packing_searches(monkeypatch)
     for inst, cap, expected in _packing_once_cases():
         calls.clear()
         assert vc_solve(inst, cap=cap) == expected
@@ -456,3 +462,17 @@ def test_vc_runs_one_packing_search(monkeypatch):
     calls.clear()
     assert vc_scan(*WIDE_PAYLOAD) == (2, 0, [2])
     assert len(calls) == 1
+
+
+def test_brute_runs_one_packing_search(monkeypatch):
+    # the brute-force search is the packing search over the graph's
+    # program, one search per solve, with no search loop of its own
+    rng = random.Random(32)
+    cases = [Instance(P3, (2, 2, 2)), Instance(TRIANGLE, (2, 2, 2)), Instance(star(4), (2,) * 5)]
+    cases += [_seeded_sparse_instance(rng, 32, 48) for _ in range(3)]
+    expected = [brute_force_max(inst, cap=40) for inst in cases]
+    calls = _count_packing_searches(monkeypatch)
+    for inst, want in zip(cases, expected):
+        calls.clear()
+        assert brute_force_max(inst, cap=40) == want
+        assert len(calls) == 1
